@@ -181,12 +181,13 @@ int main() {
   const inc::SessionResult opened = session.solve();
   if (opened.status != inc::SessionResult::Status::kOptimal) {
     std::fprintf(stderr, "bench_incremental: base instance not optimal: %s\n",
-                 inc::SessionResult::status_name(opened.status));
+                 opened.status_string().c_str());
     return 1;
   }
   std::printf("base: cost=%lld  %.3fs  (%d sat calls, %lld clauses)\n",
-              static_cast<long long>(opened.cost), opened.seconds,
-              opened.sat_calls, static_cast<long long>(opened.clauses_added));
+              static_cast<long long>(opened.cost), opened.stats.seconds,
+              opened.stats.sat_calls,
+              static_cast<long long>(opened.clauses_added));
 
   const std::vector<Step> chain = build_chain(base);
   obs::JsonArray rows;
@@ -234,7 +235,7 @@ int main() {
       std::fprintf(stderr, "bench_incremental: %s: expected %s, session says %s\n",
                    name.c_str(),
                    step.expect_infeasible ? "infeasible" : "feasible",
-                   inc::SessionResult::status_name(warm.status));
+                   warm.status_string().c_str());
       ok = false;
     }
     if (warm_infeasible) {
@@ -254,7 +255,7 @@ int main() {
         ok = false;
       }
     } else {
-      if (!warm.proven_optimal ||
+      if (!warm.proven() ||
           cold.status != alloc::OptimizeResult::Status::kOptimal ||
           certified.status != alloc::OptimizeResult::Status::kOptimal ||
           !certified.certified || warm.cost != cold.cost ||
@@ -294,7 +295,7 @@ int main() {
     std::printf(
         "%-28s %-10s cost=%-6lld warm %8.4fs  cold %8.4fs  %6.1fx  "
         "(reused %zu/%zu groups)%s\n",
-        name.c_str(), inc::SessionResult::status_name(warm.status),
+        name.c_str(), warm.status_string().c_str(),
         static_cast<long long>(warm.cost), warm_seconds, cold_seconds,
         speedup, warm.groups_unchanged,
         warm.groups_unchanged + static_cast<std::size_t>(warm.groups_added),
@@ -302,12 +303,12 @@ int main() {
 
     obs::JsonObject row;
     row.str("instance", name)
-        .str("status", inc::SessionResult::status_name(warm.status))
+        .str("status", warm.status_string())
         .num("cost", warm.cost)
         .num("warm_seconds", warm_seconds)
         .num("cold_seconds", cold_seconds)
         .num("speedup", speedup)
-        .num("sat_calls", static_cast<std::int64_t>(warm.sat_calls))
+        .num("sat_calls", static_cast<std::int64_t>(warm.stats.sat_calls))
         .num("clauses_added", warm.clauses_added)
         .num("groups_unchanged",
              static_cast<std::int64_t>(warm.groups_unchanged))
@@ -326,7 +327,7 @@ int main() {
              .num("tasks", static_cast<std::int64_t>(gen.num_tasks))
              .num("ecus", static_cast<std::int64_t>(gen.num_ecus))
              .num("base_cost", opened.cost)
-             .num("base_seconds", opened.seconds)
+             .num("base_seconds", opened.stats.seconds)
              .num("geomean_speedup", geomean)
              .boolean("verified", ok)
              .raw("instances", rows.build())

@@ -892,9 +892,10 @@ void AllocEncoder::build_cost() {
 
 sat::LBool AllocEncoder::solve(std::optional<std::int64_t> cost_lo,
                                std::optional<std::int64_t> cost_hi,
-                               sat::Budget budget) {
+                               sat::Budget budget,
+                               std::span<const sat::Lit> guards) {
   if (!ok_ || !solver_->ok()) return sat::LBool::kFalse;
-  std::vector<sat::Lit> assumptions;
+  std::vector<sat::Lit> assumptions(guards.begin(), guards.end());
   if (cost_lo || cost_hi) {
     const std::int64_t lo = cost_lo.value_or(cost_range_.lo);
     const std::int64_t hi = cost_hi.value_or(cost_range_.hi);

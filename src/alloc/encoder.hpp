@@ -116,10 +116,13 @@ class AllocEncoder {
 
   /// Solve the asserted system under optional cost bounds (incremental:
   /// bounds enter as assumption literals, so learned clauses survive
-  /// across calls — the paper's Section 7 improvement).
+  /// across calls — the paper's Section 7 improvement). `guards` are
+  /// further assumptions, assumed before the bound (a session's
+  /// constraint-group activation literals).
   sat::LBool solve(std::optional<std::int64_t> cost_lo,
                    std::optional<std::int64_t> cost_hi,
-                   sat::Budget budget = {});
+                   sat::Budget budget = {},
+                   std::span<const sat::Lit> guards = {});
 
   /// Assert cost bounds permanently (used by the non-incremental mode).
   bool assert_cost_bounds(std::int64_t lo, std::int64_t hi);

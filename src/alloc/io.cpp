@@ -90,6 +90,10 @@ Problem parse_problem(std::istream& in, std::string_view source) {
     if (keyword == "system") {
       int n = 0;
       if (!(body >> n) || n <= 0) fail(line, "bad ECU count");
+      if (n > kMaxEcus) {
+        fail(line, "ECU count " + std::to_string(n) + " exceeds " +
+                       std::to_string(kMaxEcus));
+      }
       p.arch.num_ecus = n;
       p.arch.ecu_memory.assign(static_cast<std::size_t>(n), 0);
       p.arch.gateway_only.assign(static_cast<std::size_t>(n), 0);

@@ -24,6 +24,11 @@
 
 namespace optalloc::alloc {
 
+/// Largest `system` ECU count parse_problem accepts: far above any
+/// architecture the paper or the generators describe (tens of ECUs), and
+/// small enough that the per-ECU vectors it sizes stay tiny.
+constexpr int kMaxEcus = 1024;
+
 /// Parse a problem description. Throws std::runtime_error on malformed
 /// input; the message names the source (`source`, e.g. the file name —
 /// pass "<stdin>" for piped input) and the offending line number.

@@ -24,7 +24,6 @@ namespace {
 void absorb_stats(OptimizeStats& stats, const AllocEncoder& enc) {
   stats.boolean_vars += enc.solver().num_vars();
   stats.boolean_literals += enc.solver().stats().added_literals;
-  stats.conflicts += enc.solver().stats().conflicts;
   stats.pb_constraints += enc.pb().stats().constraints;
   stats.clauses_exported += enc.solver().stats().clauses_exported;
   stats.clauses_imported += enc.solver().stats().clauses_imported;
@@ -125,32 +124,39 @@ std::string OptimizeStats::summary() const {
   return s;
 }
 
-OptimizeResult optimize(const Problem& problem, Objective objective,
-                        const OptimizeOptions& options) {
+bool budget_spent(const OptimizeOptions& options, double elapsed_s) {
+  if (options.stop != nullptr &&
+      options.stop->load(std::memory_order_relaxed)) {
+    return true;
+  }
+  return options.time_limit_s > 0.0 && elapsed_s >= options.time_limit_s;
+}
+
+sat::Budget call_budget(const OptimizeOptions& options, double elapsed_s) {
+  sat::Budget b = options.per_call;
+  b.stop = options.stop;
+  if (options.time_limit_s > 0.0) {
+    const double remaining = options.time_limit_s - elapsed_s;
+    if (b.seconds <= 0.0 || remaining < b.seconds) {
+      b.seconds = std::max(0.001, remaining);
+    }
+  }
+  return b;
+}
+
+namespace {
+
+/// The one BIN_SEARCH loop. `given` is a caller-built encoding (always
+/// searched incrementally); without one the search builds its own
+/// encoder — one for the whole search (incremental) or a fresh one per
+/// SOLVE call (scratch).
+OptimizeResult search(const Problem& problem, Objective objective,
+                      const OptimizeOptions& options, const Encoding* given) {
   OptimizeResult result;
   Stopwatch total;
 
-  auto out_of_time = [&] {
-    if (options.stop != nullptr &&
-        options.stop->load(std::memory_order_relaxed)) {
-      return true;
-    }
-    return options.time_limit_s > 0.0 && total.seconds() >= options.time_limit_s;
-  };
-  auto call_budget = [&]() -> sat::Budget {
-    sat::Budget b = options.per_call;
-    b.stop = options.stop;
-    if (options.time_limit_s > 0.0) {
-      const double remaining = options.time_limit_s - total.seconds();
-      if (b.seconds <= 0.0 || remaining < b.seconds) {
-        b.seconds = std::max(0.001, remaining);
-      }
-    }
-    return b;
-  };
-
-  // CDCL conflicts consumed across all SOLVE calls so far (the per-call
-  // solver stats are only absorbed into result.stats at the end).
+  // CDCL conflicts consumed across all SOLVE calls so far (the other
+  // solver stats are absorbed into result.stats per encoder).
   std::uint64_t conflicts_seen = 0;
 
   // Anytime progress: invoked after the initial solution and after every
@@ -252,9 +258,9 @@ OptimizeResult optimize(const Problem& problem, Objective objective,
   // --- Certification machinery (active only under options.certify). -----
   // Every SAT answer is replayed against the PB store and the pre-encode
   // IR formulas; every UNSAT answer contributes its core lemma as a proof
-  // obligation, discharged by one backward RUP-checking pass at the end
-  // (incremental mode) or per call (scratch mode); the final allocation is
-  // re-validated by the independent RT analysis.
+  // obligation, discharged by one backward RUP-checking pass when its
+  // encoder retires (incremental: at the end; scratch: per call); the
+  // final allocation is re-validated by the independent RT analysis.
   std::vector<std::size_t> unsat_steps;  // proof-step indices of UNSAT cores
   bool cert_ok = true;
   auto cert_fail = [&](std::string msg) {
@@ -350,13 +356,16 @@ OptimizeResult optimize(const Problem& problem, Objective objective,
 
   // One SOLVE call against `enc`, with wall time, SAT/UNSAT breakdown,
   // and a "solve" trace event carrying the queried bounds.
+  const std::span<const sat::Lit> guards =
+      given != nullptr ? given->guards : std::span<const sat::Lit>{};
   auto timed_solve = [&](AllocEncoder& enc, std::optional<std::int64_t> lo,
                          std::optional<std::int64_t> hi) -> sat::LBool {
     obs::Span span("SOLVE");
     ++result.stats.sat_calls;
     const std::uint64_t conflicts_before = enc.solver().stats().conflicts;
     Stopwatch sw;
-    const sat::LBool verdict = enc.solve(lo, hi, call_budget());
+    const sat::LBool verdict =
+        enc.solve(lo, hi, call_budget(options, total.seconds()), guards);
     const double secs = sw.seconds();
     const std::uint64_t call_conflicts =
         enc.solver().stats().conflicts - conflicts_before;
@@ -410,243 +419,198 @@ OptimizeResult optimize(const Problem& problem, Objective objective,
     if (options.certify) e.boolean("certified", result.certified);
   };
 
-  // --- Incremental mode: one encoder, bounds as assumptions. ------------
-  if (options.incremental) {
-    // The proof log must be attached before build() so it captures the
-    // whole clause database; one log spans the entire binary search, and
-    // one backward pass at the end discharges every UNSAT step's core.
-    sat::ProofLog local_proof;
-    sat::ProofLog* proof = options.proof != nullptr
-                               ? options.proof
-                               : options.certify ? &local_proof : nullptr;
-    AllocEncoder enc(problem, objective, options.encoder);
-    if (options.tuning) apply_tuning(enc.solver(), *options.tuning);
-    apply_inprocess(enc.solver(), options);
-    if (proof != nullptr) enc.set_proof(proof);
+  // --- The encoder(s) the search runs against. -------------------------
+  // The proof log must be attached before build() so it captures the
+  // whole clause database. Incremental: one log spans the entire search.
+  // Scratch: each call gets its own log, checked against its own
+  // throwaway solver (an external log is an incremental-mode feature).
+  const bool scratch = given == nullptr && !options.incremental;
+  std::unique_ptr<sat::ProofLog> owned_proof;  // outlives `owned`'s solver
+  std::unique_ptr<AllocEncoder> owned;
+  sat::ProofLog* proof = nullptr;
+  AllocEncoder* enc = given != nullptr ? &given->encoder : nullptr;
+  auto build_encoder = [&]() -> bool {
+    owned.reset();  // the solver references the proof log: drop it first
+    owned_proof.reset();
+    proof = scratch ? nullptr : options.proof;
+    if (proof == nullptr && options.certify) {
+      owned_proof = std::make_unique<sat::ProofLog>();
+      proof = owned_proof.get();
+    }
+    owned = std::make_unique<AllocEncoder>(problem, objective, options.encoder);
+    enc = owned.get();
+    if (options.tuning) apply_tuning(enc->solver(), *options.tuning);
+    apply_inprocess(enc->solver(), options);
+    if (proof != nullptr) enc->set_proof(proof);
+    obs::Span span("encode");
+    Stopwatch sw;
+    const bool built = enc->build();
+    const double secs = sw.seconds();
+    result.stats.encode_seconds += secs;
+    obs::observe(encode_ms_hist(), secs * 1000.0);
+    return built;
+  };
+  // Discharge the encoder's logged UNSAT cores (only for answers that
+  // stand: `check`) and fold its solver statistics into the result.
+  auto retire_encoder = [&](bool check, bool infeasible) {
+    if (check && proof != nullptr && (!unsat_steps.empty() || infeasible)) {
+      certify_proof(*proof, unsat_steps);
+    }
+    unsat_steps.clear();
+    absorb_stats(result.stats, *enc);
+  };
 
-    auto finish = [&](OptimizeResult::Status status) {
-      result.status = status;
-      if (options.certify &&
-          (status == OptimizeResult::Status::kOptimal ||
-           status == OptimizeResult::Status::kInfeasible)) {
-        if (proof != nullptr &&
-            (!unsat_steps.empty() ||
-             status == OptimizeResult::Status::kInfeasible)) {
-          certify_proof(*proof, unsat_steps);
-        }
-        certify_allocation();
-        result.certified = cert_ok;
-      }
-      absorb_stats(result.stats, enc);
-      result.stats.seconds = total.seconds();
-      trace_optimum();
-      flush_optimize_metrics(result);
-      return result;
-    };
-    {
-      obs::Span span("encode");
-      Stopwatch sw;
-      const bool built = enc.build();
-      const double secs = sw.seconds();
-      result.stats.encode_seconds += secs;
-      obs::observe(encode_ms_hist(), secs * 1000.0);
-      if (!built) return finish(OptimizeResult::Status::kInfeasible);
-    }
-    // Clause exchange joins here: the variable count right after build()
-    // delimits the deterministic base encoding every sibling worker
-    // shares; later bound-guard variables are query-order-dependent and
-    // stay private.
-    if (options.share != nullptr) {
-      options.share->attach(enc.solver(), enc.solver().num_vars());
-    }
-
-    // R := SOLVE(phi): the first query yields an upper estimate. A
-    // verified warm-start allocation short-circuits it entirely — its
-    // objective value *is* a feasible R — and additionally biases the
-    // solver's phases for the search steps that follow.
-    std::int64_t upper = 0;
-    bool have_upper = false;
-    if (options.warm_start) {
-      enc.hint(*options.warm_start);
-      const auto warm_cost =
-          evaluate_allocation(problem, objective, *options.warm_start);
-      if (warm_cost) {
-        upper = *warm_cost;
-        result.cost = upper;
-        result.allocation = *options.warm_start;
-        result.has_allocation = true;
-        have_upper = true;
-        announce_incumbent(upper);
-      }
-    }
-    sat::LBool verdict = sat::LBool::kUndef;
-    if (!have_upper) {
-      const std::optional<std::int64_t> cap = first_solve_cap();
-      verdict = timed_solve(enc, {}, cap);
-      if (verdict == sat::LBool::kFalse && cap) {
-        verdict = timed_solve(enc, {}, {});
-      }
-      if (verdict == sat::LBool::kFalse) {
-        return finish(OptimizeResult::Status::kInfeasible);
-      }
-      if (verdict == sat::LBool::kUndef) {
-        return finish(OptimizeResult::Status::kBudgetExhausted);
-      }
-      certify_model(enc, {}, {});
-      upper = enc.decode_cost();
-      result.cost = upper;
-      result.allocation = enc.decode();
-      result.has_allocation = true;
-      announce_incumbent(upper);
-    }
-    std::int64_t lower = enc.cost_range().lo;
-    log_info("optimize: initial solution cost=%lld, searching [%lld, %lld]",
-             static_cast<long long>(upper), static_cast<long long>(lower),
-             static_cast<long long>(upper));
-    report_progress(lower, upper);
-
-    // BIN_SEARCH(phi). The paper's loop sets L := M on an UNSAT interval
-    // [L, M]; since the optimum then lies in (M, R], we advance to M + 1
-    // (fixing the paper's off-by-one, which would not terminate for
-    // R = L + 1).
-    while (lower < upper) {
-      if (out_of_time()) {
-        result.lower_bound = lower;
-        return finish(OptimizeResult::Status::kBudgetExhausted);
-      }
-      sync_shared_bounds(lower, upper);
-      if (lower >= upper) break;
-      const std::int64_t mid =
-          options.strategy == SearchStrategy::kBisection
-              ? lower + (upper - lower) / 2
-              : upper - 1;
-      verdict = timed_solve(enc, lower, mid);
-      if (verdict == sat::LBool::kUndef) {
-        result.lower_bound = lower;
-        return finish(OptimizeResult::Status::kBudgetExhausted);
-      }
-      if (verdict == sat::LBool::kFalse) {
-        lower = mid + 1;
-        publish_lower_bound(lower);
-      } else {
-        certify_model(enc, lower, mid);
-        upper = enc.decode_cost();
-        result.cost = upper;
-        result.allocation = enc.decode();
-        result.has_allocation = true;
-        announce_incumbent(upper);
-      }
-      log_info("optimize: interval [%lld, %lld]",
-               static_cast<long long>(lower), static_cast<long long>(upper));
-      report_progress(lower, upper);
-    }
-    result.cost = upper;
-    result.lower_bound = upper;
-    publish_lower_bound(upper);
-    return finish(OptimizeResult::Status::kOptimal);
-  }
-
-  // --- Scratch mode: fresh encoder per SOLVE (paper's base procedure). --
-  auto finish_scratch = [&](OptimizeResult::Status status) {
+  auto finish = [&](OptimizeResult::Status status) {
     result.status = status;
-    if (options.certify &&
-        (status == OptimizeResult::Status::kOptimal ||
-         status == OptimizeResult::Status::kInfeasible)) {
+    retire_encoder(result.proven(),
+                   status == OptimizeResult::Status::kInfeasible);
+    if (options.certify && result.proven()) {
       certify_allocation();
       result.certified = cert_ok;
     }
+    result.stats.conflicts = conflicts_seen;
     result.stats.seconds = total.seconds();
     trace_optimum();
     flush_optimize_metrics(result);
     return result;
   };
-  auto scratch_solve = [&](std::optional<std::int64_t> lo,
-                           std::optional<std::int64_t> hi,
-                           std::int64_t& cost_out,
-                           rt::Allocation& alloc_out,
-                           ir::Range& cost_range_out) -> sat::LBool {
-    // Scratch proofs are per call: each UNSAT answer is checked on the
-    // spot, against the clause database of its own throwaway solver.
-    sat::ProofLog call_proof;
-    unsat_steps.clear();
-    AllocEncoder enc(problem, objective, options.encoder);
-    if (options.tuning) apply_tuning(enc.solver(), *options.tuning);
-    apply_inprocess(enc.solver(), options);
-    if (options.certify) enc.set_proof(&call_proof);
-    bool built = false;
-    {
-      obs::Span span("encode");
-      Stopwatch sw;
-      built = enc.build();
-      const double secs = sw.seconds();
-      result.stats.encode_seconds += secs;
-      obs::observe(encode_ms_hist(), secs * 1000.0);
+
+  if (given == nullptr) {
+    if (!build_encoder()) return finish(OptimizeResult::Status::kInfeasible);
+    // Clause exchange joins here: the variable count right after build()
+    // delimits the deterministic base encoding every sibling worker
+    // shares; later bound-guard variables are query-order-dependent and
+    // stay private.
+    if (!scratch && options.share != nullptr) {
+      options.share->attach(enc->solver(), enc->solver().num_vars());
     }
-    cost_range_out = enc.cost_range();
-    sat::LBool verdict = sat::LBool::kFalse;
-    if (built && (!lo || !hi || enc.assert_cost_bounds(*lo, *hi))) {
-      verdict = timed_solve(enc, {}, {});
-    } else {
-      // Encode-time UNSAT still counts as one (answered) SOLVE call.
-      ++result.stats.sat_calls;
-      ++result.stats.sat_calls_unsat;
+  }
+  const ir::Range range = enc->cost_range();
+
+  // One SOLVE call under optional cost bounds. Incremental: the bounds
+  // are assumptions on the one encoder. Scratch: the first call uses the
+  // encoder built above, every later one a fresh encoder, with the bounds
+  // asserted permanently.
+  bool answered = false;
+  auto probe = [&](std::optional<std::int64_t> lo,
+                   std::optional<std::int64_t> hi) -> sat::LBool {
+    if (!scratch) return timed_solve(*enc, lo, hi);
+    bool ok = true;
+    if (answered) {
+      retire_encoder(true, false);
+      ok = build_encoder();
     }
-    if (verdict == sat::LBool::kTrue) {
-      certify_model(enc, lo, hi);
-      cost_out = enc.decode_cost();
-      alloc_out = enc.decode();
-    } else if (verdict == sat::LBool::kFalse && options.certify) {
-      certify_proof(call_proof, unsat_steps);
+    answered = true;
+    if (ok && (lo || hi)) {
+      ok = enc->assert_cost_bounds(lo.value_or(range.lo),
+                                   hi.value_or(range.hi));
     }
-    absorb_stats(result.stats, enc);
-    return verdict;
+    if (ok) return timed_solve(*enc, {}, {});
+    // Encode-time UNSAT still counts as one (answered) SOLVE call.
+    ++result.stats.sat_calls;
+    ++result.stats.sat_calls_unsat;
+    return sat::LBool::kFalse;
+  };
+  auto adopt_model = [&](std::optional<std::int64_t> lo,
+                         std::optional<std::int64_t> hi) {
+    certify_model(*enc, lo, hi);
+    result.cost = enc->decode_cost();
+    result.allocation = enc->decode();
+    result.has_allocation = true;
+    announce_incumbent(result.cost);
+    return result.cost;
   };
 
-  std::int64_t cost = -1;
-  rt::Allocation alloc;
-  ir::Range cost_range{0, 0};
-  sat::LBool verdict = scratch_solve({}, {}, cost, alloc, cost_range);
-  if (verdict == sat::LBool::kFalse) {
-    return finish_scratch(OptimizeResult::Status::kInfeasible);
+  // R := SOLVE(phi): the first query yields an upper estimate. A
+  // verified warm-start allocation short-circuits it entirely — its
+  // objective value *is* a feasible R — and additionally biases the
+  // solver's phases for the search steps that follow.
+  std::int64_t lower = range.lo;
+  std::int64_t upper = 0;
+  bool have_upper = false;
+  if (options.warm_start) {
+    enc->hint(*options.warm_start);
+    const auto warm_cost =
+        evaluate_allocation(problem, objective, *options.warm_start);
+    if (warm_cost) {
+      upper = *warm_cost;
+      result.cost = upper;
+      result.allocation = *options.warm_start;
+      result.has_allocation = true;
+      have_upper = true;
+      announce_incumbent(upper);
+    }
   }
-  if (verdict == sat::LBool::kUndef) {
-    return finish_scratch(OptimizeResult::Status::kBudgetExhausted);
-  }
-  std::int64_t upper = cost;
-  std::int64_t lower = cost_range.lo;
-  result.cost = upper;
-  result.allocation = alloc;
-  result.has_allocation = true;
-  announce_incumbent(upper);
-  report_progress(lower, upper);
-  while (lower < upper) {
-    if (out_of_time()) {
+  if (!have_upper) {
+    // A capped first SOLVE that answers UNSAT proves the optimum lies
+    // above the cap; the search continues from there.
+    const std::optional<std::int64_t> cap = first_solve_cap();
+    sat::LBool verdict = probe({}, cap);
+    if (verdict == sat::LBool::kFalse && cap) {
+      lower = std::max(lower, *cap + 1);
+      verdict = probe(lower, {});
+    }
+    if (verdict == sat::LBool::kFalse) {
+      return finish(OptimizeResult::Status::kInfeasible);
+    }
+    if (verdict == sat::LBool::kUndef) {
       result.lower_bound = lower;
-      return finish_scratch(OptimizeResult::Status::kBudgetExhausted);
+      return finish(OptimizeResult::Status::kBudgetExhausted);
+    }
+    upper = adopt_model({}, {});
+  }
+  log_info("optimize: initial solution cost=%lld, searching [%lld, %lld]",
+           static_cast<long long>(upper), static_cast<long long>(lower),
+           static_cast<long long>(upper));
+  report_progress(lower, upper);
+
+  // BIN_SEARCH(phi). The paper's loop sets L := M on an UNSAT interval
+  // [L, M]; since the optimum then lies in (M, R], we advance to M + 1
+  // (fixing the paper's off-by-one, which would not terminate for
+  // R = L + 1).
+  while (lower < upper) {
+    if (budget_spent(options, total.seconds())) {
+      result.lower_bound = lower;
+      return finish(OptimizeResult::Status::kBudgetExhausted);
     }
     sync_shared_bounds(lower, upper);
     if (lower >= upper) break;
-    const std::int64_t mid = lower + (upper - lower) / 2;
-    verdict = scratch_solve(lower, mid, cost, alloc, cost_range);
+    const std::int64_t mid =
+        options.strategy == SearchStrategy::kBisection
+            ? lower + (upper - lower) / 2
+            : upper - 1;
+    const sat::LBool verdict = probe(lower, mid);
     if (verdict == sat::LBool::kUndef) {
       result.lower_bound = lower;
-      return finish_scratch(OptimizeResult::Status::kBudgetExhausted);
+      return finish(OptimizeResult::Status::kBudgetExhausted);
     }
     if (verdict == sat::LBool::kFalse) {
       lower = mid + 1;
       publish_lower_bound(lower);
     } else {
-      upper = cost;
-      result.cost = upper;
-      result.allocation = alloc;
-      announce_incumbent(upper);
+      upper = adopt_model(lower, mid);
     }
+    log_info("optimize: interval [%lld, %lld]",
+             static_cast<long long>(lower), static_cast<long long>(upper));
     report_progress(lower, upper);
   }
   result.cost = upper;
   result.lower_bound = upper;
   publish_lower_bound(upper);
-  return finish_scratch(OptimizeResult::Status::kOptimal);
+  return finish(OptimizeResult::Status::kOptimal);
+}
+
+}  // namespace
+
+OptimizeResult optimize(const Problem& problem, Objective objective,
+                        const OptimizeOptions& options) {
+  return search(problem, objective, options, nullptr);
+}
+
+OptimizeResult optimize(const Problem& problem, Objective objective,
+                        const OptimizeOptions& options,
+                        const Encoding& encoding) {
+  return search(problem, objective, options, &encoding);
 }
 
 }  // namespace optalloc::alloc

@@ -1,9 +1,8 @@
 #pragma once
 // The paper's Section 5.2 optimization loop: SOLVE is one SAT query over
 // the encoded constraint system; BIN_SEARCH narrows the cost interval by
-// repeated SOLVE calls until the optimum is pinned.
-//
-// Two execution modes:
+// repeated SOLVE calls until the optimum is pinned. This is the only
+// search loop in the code base; it runs against one of three encodings:
 //   * incremental (default): one solver instance; cost bounds enter as
 //     assumption literals over comparator circuits, so learned clauses
 //     carry over between search steps — the improvement the paper's
@@ -11,11 +10,15 @@
 //   * scratch: a fresh encoder + solver per SOLVE call with bounds
 //     asserted permanently — the paper's baseline procedure, kept for the
 //     ablation benchmark.
+//   * a caller's Encoding: an already-built encoder plus guard
+//     assumptions, searched incrementally — how inc::Session re-solves
+//     its persistent, assumption-guarded encoding.
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -72,8 +75,10 @@ struct OptimizeOptions {
   sat::Budget per_call;
   /// Overall wall-clock limit in seconds (0 = unlimited).
   double time_limit_s = 0.0;
-  /// Known feasible objective value (e.g. from simulated annealing):
-  /// bounds the first SOLVE so the binary search starts from it.
+  /// Expected objective value (e.g. from simulated annealing) capping
+  /// the first SOLVE so the binary search starts from it. An UNSAT answer
+  /// under cap C proves the optimum exceeds C; the search then continues
+  /// above it.
   std::optional<std::int64_t> initial_upper;
   /// Known feasible allocation: biases the solver's first descent
   /// (phase-saving warm start).
@@ -151,6 +156,7 @@ struct OptimizeResult {
     kOptimal,          ///< cost is the global optimum
     kInfeasible,       ///< no valid allocation exists
     kBudgetExhausted,  ///< search interrupted; best-so-far in `allocation`
+    kError,            ///< rejected before any search (inc::Session)
   };
   Status status = Status::kInfeasible;
   std::int64_t cost = -1;  ///< optimal (or best-so-far) objective value
@@ -168,18 +174,49 @@ struct OptimizeResult {
   std::string certify_error;
   OptimizeStats stats;
 
+  /// The search ran to a proof: the optimum, or infeasibility.
+  bool proven() const {
+    return status == Status::kOptimal || status == Status::kInfeasible;
+  }
+
   std::string status_string() const {
     switch (status) {
       case Status::kOptimal: return "optimal";
       case Status::kInfeasible: return "infeasible";
       case Status::kBudgetExhausted: return "budget-exhausted";
+      case Status::kError: return "error";
     }
     return "?";
   }
 };
 
+/// True once a search under `options` must start no further SOLVE call
+/// `elapsed_s` into it: the stop flag is raised or time_limit_s is spent.
+bool budget_spent(const OptimizeOptions& options, double elapsed_s);
+
+/// The budget of one SOLVE call made `elapsed_s` into a search under
+/// `options`: the per-call limits and the stop flag, with the wall time
+/// capped by what is left of time_limit_s (at least 1 ms).
+sat::Budget call_budget(const OptimizeOptions& options, double elapsed_s);
+
 /// Find the cost-minimal allocation for the problem under the objective.
 OptimizeResult optimize(const Problem& problem, Objective objective,
                         const OptimizeOptions& options = {});
+
+/// An encoding built by the caller for the search to run on: `encoder`
+/// has already run build(), and `guards` are assumption literals held
+/// true on every SOLVE call (a session's constraint-group activation
+/// literals).
+struct Encoding {
+  AllocEncoder& encoder;
+  std::span<const sat::Lit> guards;
+};
+
+/// The same search over a caller's encoding, always incremental. The
+/// options' encoder-construction fields (encoder, incremental, tuning,
+/// inprocess*, proof, share) do not apply: the encoder already exists.
+OptimizeResult optimize(const Problem& problem, Objective objective,
+                        const OptimizeOptions& options,
+                        const Encoding& encoding);
 
 }  // namespace optalloc::alloc

@@ -38,7 +38,8 @@ std::vector<sat::Lit> CoreExplainer::guards_of(
 }
 
 std::vector<std::string> CoreExplainer::minimize(
-    std::vector<std::string> core, sat::Budget per_probe) {
+    std::vector<std::string> core,
+    const std::function<std::optional<sat::Budget>()>& probe_budget) {
   // Classic destructive deletion: try dropping each member once. When a
   // probe without member i is still unsat, the solver's new core is a
   // subset not containing i — adopt it wholesale, which can drop several
@@ -49,7 +50,9 @@ std::vector<std::string> CoreExplainer::minimize(
     for (std::size_t j = 0; j < core.size(); ++j) {
       if (j != i) without.push_back(core[j]);
     }
-    const auto result = solver_.solve(guards_of(without), per_probe);
+    const std::optional<sat::Budget> budget = probe_budget();
+    if (!budget) break;
+    const auto result = solver_.solve(guards_of(without), *budget);
     if (result == sat::LBool::kFalse) {
       auto shrunk = explain(solver_.conflict_core());
       // Keep only members we were still assuming (defensive: explain()

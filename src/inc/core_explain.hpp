@@ -6,6 +6,8 @@
 // constraint-group labels ("task:sensor", "separate:a:b",
 // "memory:ecu2", "message:sensor.0", "priorities", "objective").
 
+#include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,11 +28,13 @@ class CoreExplainer {
 
   /// Deletion-minimization: for each member, re-solve with the remaining
   /// guards; if still unsat, drop it (and shrink to the new core). Each
-  /// probe is bounded by `per_probe`; an inconclusive probe keeps the
-  /// member. The result is still a genuine conflict, just possibly
-  /// non-minimal when budgets bite.
-  std::vector<std::string> minimize(std::vector<std::string> core,
-                                    sat::Budget per_probe);
+  /// probe is bounded by a fresh `probe_budget()`, and none starts once
+  /// it returns nullopt; an inconclusive probe keeps the member. The
+  /// result is still a genuine conflict, just possibly non-minimal when
+  /// budgets bite.
+  std::vector<std::string> minimize(
+      std::vector<std::string> core,
+      const std::function<std::optional<sat::Budget>()>& probe_budget);
 
   /// True iff assuming exactly these groups' guards is unsatisfiable —
   /// i.e. the named constraints genuinely conflict on their own.

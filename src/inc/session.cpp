@@ -1,6 +1,5 @@
 #include "inc/session.hpp"
 
-#include <chrono>
 #include <exception>
 #include <utility>
 
@@ -8,41 +7,20 @@ namespace optalloc::inc {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+/// Per-probe effort cap of core deletion-minimization.
+constexpr sat::Budget kCoreProbe{20000, 1.0, nullptr};
 
 }  // namespace
 
-const char* SessionResult::status_name(Status s) {
-  switch (s) {
-    case Status::kOptimal: return "optimal";
-    case Status::kInfeasible: return "infeasible";
-    case Status::kFeasible: return "feasible";
-    case Status::kUnknown: return "unknown";
-    case Status::kError: return "error";
-  }
-  return "?";
-}
-
-Session::Session(alloc::Problem problem, alloc::Objective objective,
-                 SessionOptions options)
-    : problem_(std::move(problem)),
-      objective_(objective),
-      options_(options),
-      backend_(options.backend) {}
+Session::Session(alloc::Problem problem, alloc::Objective objective)
+    : problem_(std::move(problem)), objective_(objective) {}
 
 Session::~Session() = default;
 
 bool Session::sync_encoding(SessionResult& out) {
-  alloc::EncoderConfig config;
-  config.backend = options_.backend;
-  config.free_tie_priorities = options_.free_tie_priorities;
   encoder_.reset();
-  encoder_ = std::make_unique<alloc::AllocEncoder>(problem_, objective_,
-                                                   config, backend_);
+  encoder_ = std::make_unique<alloc::AllocEncoder>(
+      problem_, objective_, alloc::EncoderConfig{}, backend_);
   try {
     encoder_->build();
   } catch (const std::exception& e) {
@@ -91,119 +69,81 @@ double Session::dead_guard_fraction() const {
   return total > 0.0 ? static_cast<double>(retired_guards_) / total : 0.0;
 }
 
-SessionResult Session::solve(const SolveLimits& limits) {
+SessionResult Session::solve(const alloc::OptimizeOptions& options) {
+  const Stopwatch clock;
   SessionResult out;
-  const auto start = Clock::now();
-  const std::uint64_t conflicts_before = backend_.solver.stats().conflicts;
-  const auto finish = [&](SessionResult::Status status) {
-    out.status = status;
-    out.seconds = seconds_since(start);
-    out.conflicts = static_cast<std::int64_t>(
-        backend_.solver.stats().conflicts - conflicts_before);
+  if (!sync_encoding(out)) {
+    out.status = SessionResult::Status::kError;
+    out.stats.seconds = clock.seconds();
     return out;
-  };
+  }
 
-  if (!sync_encoding(out)) return finish(SessionResult::Status::kError);
-
+  // Warm start: capping the first SOLVE at the previous optimum decides
+  // whether the edit kept or improved the cost (SAT: continue below C*)
+  // or regressed it (UNSAT: the optimum moved up — search (C*, hi]).
   const ir::Range range = encoder_->cost_range();
-  const ir::NodeId cost = encoder_->cost_node();
-  ir::Context& ctx = backend_.ctx;
-
-  const auto probe = [&](std::int64_t lo, std::int64_t hi) -> sat::LBool {
-    sat::Budget budget;
-    budget.conflicts = limits.conflicts;
-    budget.stop = limits.stop;
-    if (limits.deadline_s > 0.0) {
-      const double left = limits.deadline_s - seconds_since(start);
-      if (left <= 0.0) return sat::LBool::kUndef;
-      budget.seconds = left;
-    }
-    ++out.sat_calls;
-    std::vector<sat::Lit> assumptions = guard_assumptions_;
-    if (lo > range.lo || hi < range.hi) {
-      // The bound guard is a memoized Tseitin literal: probing the same
-      // interval twice (e.g. across revisions) reuses the encoding.
-      const ir::NodeId bound = ctx.land(ctx.ge(cost, ctx.constant(lo)),
-                                        ctx.le(cost, ctx.constant(hi)));
-      assumptions.push_back(backend_.blaster.formula_lit(bound));
-    }
-    return backend_.solver.solve(assumptions, budget);
-  };
-
-  // Warm start: one probe at the previous optimum decides whether the
-  // edit kept or improved the cost (SAT: continue below C*) or regressed
-  // it (UNSAT: the optimum moved up — search (C*, hi]).
-  std::int64_t lower = range.lo;
-  std::int64_t first_hi = range.hi;
+  alloc::OptimizeOptions search = options;
+  search.initial_upper.reset();
   if (prev_optimum_ && *prev_optimum_ >= range.lo &&
       *prev_optimum_ < range.hi) {
-    first_hi = *prev_optimum_;
+    search.initial_upper = prev_optimum_;
   }
-  sat::LBool r = probe(lower, first_hi);
-  if (r == sat::LBool::kFalse && first_hi < range.hi) {
-    lower = first_hi + 1;
-    r = probe(lower, range.hi);
+  const Stopwatch search_clock;  // the budget's origin, as for the search
+  static_cast<alloc::OptimizeResult&>(out) = alloc::optimize(
+      problem_, objective_, search, {*encoder_, guard_assumptions_});
+  if (out.has_allocation) prev_optimum_ = out.cost;
+  if (out.status == SessionResult::Status::kInfeasible) {
+    explain_infeasible(out, search.initial_upper.has_value(), options,
+                       search_clock);
   }
+  out.stats.seconds = clock.seconds();
+  return out;
+}
 
-  if (r == sat::LBool::kFalse) {
-    // Infeasible instance. For the core, re-solve with only the group
-    // guards (no cost bounds) when the last conflict involved a bound
-    // assumption — the cost variable's own range makes this equivalent.
-    out.proven_optimal = true;
-    CoreExplainer explainer(backend_.solver, groups_);
-    std::vector<std::string> core =
-        explainer.explain(backend_.solver.conflict_core());
-    if (lower > range.lo || first_hi < range.hi) {
-      sat::Budget budget;
-      budget.conflicts = limits.conflicts;
-      budget.stop = limits.stop;
-      ++out.sat_calls;
-      if (backend_.solver.solve(guard_assumptions_, budget) ==
-          sat::LBool::kFalse) {
-        core = explainer.explain(backend_.solver.conflict_core());
-      }
-    }
-    if (options_.minimize_cores && core.size() > 1) {
-      core = explainer.minimize(std::move(core), options_.core_probe);
-    }
-    out.core = std::move(core);
-    return finish(SessionResult::Status::kInfeasible);
-  }
-  if (r == sat::LBool::kUndef) {
-    out.lower_bound = lower;
-    return finish(SessionResult::Status::kUnknown);
-  }
-
-  // SAT: tighten with the optimizer's BIN_SEARCH discipline — probe
-  // [lower, mid], adopt the decoded cost as the new upper bound on SAT
-  // (often far below mid), raise lower on UNSAT.
-  std::int64_t upper = encoder_->decode_cost();
-  out.allocation = encoder_->decode();
-  out.has_allocation = true;
-  bool complete = true;
-  while (lower < upper) {
-    const std::int64_t mid = lower + (upper - lower) / 2;
-    r = probe(lower, mid);
-    if (r == sat::LBool::kTrue) {
-      upper = encoder_->decode_cost();
-      out.allocation = encoder_->decode();
-    } else if (r == sat::LBool::kFalse) {
-      lower = mid + 1;
+void Session::explain_infeasible(SessionResult& out, bool capped,
+                                 const alloc::OptimizeOptions& options,
+                                 const Stopwatch& clock) {
+  CoreExplainer explainer(backend_.solver, groups_);
+  std::vector<std::string> core =
+      explainer.explain(backend_.solver.conflict_core());
+  if (capped) {
+    // The last UNSAT answer assumed a cost bound: re-solve with only the
+    // group guards — the cost variable's own range makes this equivalent.
+    // Should that stay inconclusive, only the whole instance is known to
+    // conflict.
+    ++out.stats.sat_calls;
+    if (backend_.solver.solve(guard_assumptions_,
+                              alloc::call_budget(options, clock.seconds())) ==
+        sat::LBool::kFalse) {
+      core = explainer.explain(backend_.solver.conflict_core());
     } else {
-      complete = false;
-      break;
+      core.clear();
+      for (const auto& [name, group] : groups_) core.push_back(name);
     }
   }
-  out.cost = upper;
-  out.lower_bound = complete ? upper : lower;
-  out.proven_optimal = complete;
-  prev_optimum_ = upper;
-  return finish(complete ? SessionResult::Status::kOptimal
-                         : SessionResult::Status::kFeasible);
+  if (core.size() > 1) {
+    // Each probe draws on what is left of the caller's budget, capped
+    // at kCoreProbe; none starts once the budget is spent.
+    core = explainer.minimize(
+        std::move(core), [&]() -> std::optional<sat::Budget> {
+          if (alloc::budget_spent(options, clock.seconds())) {
+            return std::nullopt;
+          }
+          sat::Budget b = alloc::call_budget(options, clock.seconds());
+          if (b.conflicts <= 0 || b.conflicts > kCoreProbe.conflicts) {
+            b.conflicts = kCoreProbe.conflicts;
+          }
+          if (b.seconds <= 0.0 || b.seconds > kCoreProbe.seconds) {
+            b.seconds = kCoreProbe.seconds;
+          }
+          return b;
+        });
+  }
+  out.core = std::move(core);
 }
 
 SessionResult Session::revise(const InstancePatch& patch,
-                              const SolveLimits& limits) {
+                              const alloc::OptimizeOptions& options) {
   // Validate against a copy: a rejected patch must leave the live
   // instance (and encoding) untouched.
   alloc::Problem edited = problem_;
@@ -215,7 +155,7 @@ SessionResult Session::revise(const InstancePatch& patch,
   }
   encoder_.reset();  // encoder_ references problem_; drop before swap
   problem_ = std::move(edited);
-  return solve(limits);
+  return solve(options);
 }
 
 bool Session::core_is_conflicting(std::span<const std::string> core) {

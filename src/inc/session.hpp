@@ -17,14 +17,15 @@
 //      Learned clauses, phase saves, and VSIDS activity all survive:
 //      the clause database only ever grows, so every learnt remains
 //      implied.
-//   4. The binary search warm-starts at the previous optimum: one probe
-//      at cost <= C* decides whether the edit kept, improved, or
-//      regressed the optimum, and the search continues from there.
+//   4. The search (alloc::optimize over the session's Encoding — the
+//      same BIN_SEARCH loop a cold solve runs) warm-starts at the
+//      previous optimum: its first SOLVE is capped at C*, which decides
+//      whether the edit kept, improved, or regressed the optimum.
 //   5. An infeasible edit yields an assumption-level unsat core over the
 //      activation literals, mapped back to named constraints and
-//      deletion-minimized (inc/core_explain.hpp).
+//      deletion-minimized (inc/core_explain.hpp) within what is left of
+//      the caller's budget.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -33,72 +34,51 @@
 #include <vector>
 
 #include "alloc/encoder.hpp"
+#include "alloc/optimizer.hpp"
 #include "alloc/problem.hpp"
 #include "inc/core_explain.hpp"
 #include "inc/delta.hpp"
 #include "inc/patch.hpp"
 #include "rt/model.hpp"
 #include "sat/solver.hpp"
+#include "util/stopwatch.hpp"
 
 namespace optalloc::inc {
 
-/// Per-solve resource limits (all optional).
-struct SolveLimits {
-  double deadline_s = 0.0;     ///< wall-clock budget; 0 = unlimited
-  std::int64_t conflicts = 0;  ///< per SAT call; 0 = unlimited
-  const std::atomic<bool>* stop = nullptr;  ///< cooperative cancellation
-};
-
-struct SessionResult {
-  enum class Status { kOptimal, kInfeasible, kFeasible, kUnknown, kError };
-  Status status = Status::kUnknown;
-  bool proven_optimal = false;
-  std::int64_t cost = -1;
-  std::int64_t lower_bound = 0;
-  bool has_allocation = false;
-  rt::Allocation allocation;
-  /// Infeasible edits: named constraint groups that conflict.
+/// A session solve's answer: the search result (status, cost, bounds,
+/// allocation, stats) plus what the session adds to it.
+struct SessionResult : alloc::OptimizeResult {
+  /// kInfeasible: named constraint groups that conflict.
   std::vector<std::string> core;
   /// kError: what went wrong (bad patch, invalid instance).
   std::string error;
 
-  // Delta and search statistics for this solve.
-  int sat_calls = 0;
-  std::int64_t conflicts = 0;
-  double seconds = 0.0;
+  // The encoding delta this solve applied.
   int groups_added = 0;
   int groups_retired = 0;
   std::size_t groups_unchanged = 0;
   std::int64_t clauses_added = 0;
-
-  static const char* status_name(Status s);
-};
-
-struct SessionOptions {
-  encode::Backend backend = encode::Backend::kCnf;
-  bool free_tie_priorities = true;
-  /// Deletion-minimize unsat cores (bounded by core_probe per probe).
-  bool minimize_cores = true;
-  sat::Budget core_probe = sat::Budget{20000, 1.0, nullptr};
 };
 
 class Session {
  public:
-  Session(alloc::Problem problem, alloc::Objective objective,
-          SessionOptions options = {});
+  Session(alloc::Problem problem, alloc::Objective objective);
   ~Session();
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
   /// (Re-)solve the current instance. The first call encodes everything;
-  /// later calls (after revise) re-solve the delta.
-  SessionResult solve(const SolveLimits& limits = {});
+  /// later calls (after revise) re-solve the delta. `options` carries the
+  /// budget (per_call, stop, and time_limit_s, counted from the search's
+  /// start once the encoding is synced) and reporting (on_progress); the
+  /// session supplies initial_upper itself.
+  SessionResult solve(const alloc::OptimizeOptions& options = {});
 
   /// Apply a patch and re-solve. A patch that fails validation leaves
   /// the instance untouched and returns kError.
   SessionResult revise(const InstancePatch& patch,
-                       const SolveLimits& limits = {});
+                       const alloc::OptimizeOptions& options = {});
 
   const alloc::Problem& problem() const { return problem_; }
   alloc::Objective objective() const { return objective_; }
@@ -127,9 +107,15 @@ class Session {
   /// Returns false (with out.status = kError) on an invalid instance.
   bool sync_encoding(SessionResult& out);
 
+  /// Name and deletion-minimize the conflicting groups of an infeasible
+  /// instance, drawing on what is left of the caller's budget (`clock`
+  /// started with the search).
+  void explain_infeasible(SessionResult& out, bool capped,
+                          const alloc::OptimizeOptions& options,
+                          const Stopwatch& clock);
+
   alloc::Problem problem_;
   alloc::Objective objective_;
-  SessionOptions options_;
   alloc::EncoderBackend backend_;
   /// Rebuilt per solve; holds a reference to problem_, so it is reset
   /// before every instance mutation.

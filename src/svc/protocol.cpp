@@ -1,5 +1,8 @@
 #include "svc/protocol.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <thread>
 #include <utility>
 
 #include "obs/flight.hpp"
@@ -16,6 +19,33 @@ bool get_bool(const obs::JsonValue& v, std::string_view key, bool dflt) {
   if (m == nullptr || m->kind != obs::JsonValue::Kind::kBool) return dflt;
   return m->b;
 }
+
+/// Range-check a numeric field before anything casts it (JSON admits
+/// 1e300, and an overflowing literal parses as infinity). False when the
+/// field is present but non-finite or above `max`.
+bool read_number(const obs::JsonValue& doc, std::string_view key,
+                 double max, std::optional<double>& out) {
+  out = doc.get_number(key);
+  return !out || (std::isfinite(*out) && *out <= max);
+}
+
+/// The budget fields of submit, session_open and revise.
+bool read_budget(const obs::JsonValue& doc, Request& req) {
+  std::optional<double> deadline;
+  std::optional<double> conflicts;
+  if (!read_number(doc, "deadline_ms", kMaxDeadlineMs, deadline) ||
+      !read_number(doc, "conflicts", kMaxConflicts, conflicts)) {
+    return false;
+  }
+  if (deadline) req.deadline_ms = *deadline > 0 ? *deadline : 0.0;
+  if (conflicts) {
+    req.conflicts = static_cast<std::int64_t>(*conflicts > 0 ? *conflicts : 0);
+  }
+  return true;
+}
+
+constexpr const char* kBadNumber =
+    "deadline_ms, conflicts and threads must be finite and in range";
 
 }  // namespace
 
@@ -44,14 +74,15 @@ std::optional<Request> parse_request(const std::string& line,
     }
     req.problem_text = *problem;
     if (const auto obj = doc->get_string("objective")) req.objective = *obj;
-    if (const auto d = doc->get_number("deadline_ms")) {
-      req.deadline_ms = *d > 0 ? *d : 0.0;
+    std::optional<double> threads;
+    if (!read_budget(*doc, req) ||
+        !read_number(*doc, "threads", kMaxThreads, threads)) {
+      return fail(kBadNumber, "bad_request");
     }
-    if (const auto c = doc->get_number("conflicts")) {
-      req.conflicts = static_cast<std::int64_t>(*c > 0 ? *c : 0);
-    }
-    if (const auto t = doc->get_number("threads")) {
-      req.threads = *t > 1 ? static_cast<int>(*t) : 1;
+    if (threads && *threads > 1) {
+      const int hardware =
+          static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+      req.threads = std::min(static_cast<int>(*threads), hardware);
     }
     req.wait = get_bool(*doc, "wait", false);
     return req;
@@ -102,12 +133,7 @@ std::optional<Request> parse_request(const std::string& line,
     }
     req.problem_text = *problem;
     if (const auto obj = doc->get_string("objective")) req.objective = *obj;
-    if (const auto d = doc->get_number("deadline_ms")) {
-      req.deadline_ms = *d > 0 ? *d : 0.0;
-    }
-    if (const auto c = doc->get_number("conflicts")) {
-      req.conflicts = static_cast<std::int64_t>(*c > 0 ? *c : 0);
-    }
+    if (!read_budget(*doc, req)) return fail(kBadNumber, "bad_request");
     return req;
   }
   if (*verb == "revise" || *verb == "session_close") {
@@ -127,12 +153,7 @@ std::optional<Request> parse_request(const std::string& line,
       auto patch = inc::parse_patch(*edits, &patch_error);
       if (!patch) return fail(patch_error, "bad_patch");
       req.patch = std::move(*patch);
-      if (const auto d = doc->get_number("deadline_ms")) {
-        req.deadline_ms = *d > 0 ? *d : 0.0;
-      }
-      if (const auto c = doc->get_number("conflicts")) {
-        req.conflicts = static_cast<std::int64_t>(*c > 0 ? *c : 0);
-      }
+      if (!read_budget(*doc, req)) return fail(kBadNumber, "bad_request");
     }
     return req;
   }

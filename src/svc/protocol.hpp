@@ -56,6 +56,9 @@
 // string (newlines escaped); the objective uses alloc::parse_objective
 // spec syntax. Anytime answers surface as state="done" with
 // "proven_optimal":false plus the incumbent cost and proven lower bound.
+// The numeric fields deadline_ms, conflicts and threads must be finite
+// and at most the limits below ("bad_request" otherwise); threads is then
+// clamped to the machine's hardware threads.
 
 #include <optional>
 #include <string>
@@ -64,6 +67,13 @@
 #include "svc/scheduler.hpp"
 
 namespace optalloc::svc {
+
+/// Largest accepted values of the numeric request fields. They keep
+/// every later conversion defined: deadlines become chrono durations,
+/// conflicts an int64, threads an int.
+constexpr double kMaxDeadlineMs = 1e9;         ///< about 11.6 days
+constexpr double kMaxConflicts = 1e15;         ///< per SOLVE call
+constexpr double kMaxThreads = 2147483647.0;   ///< INT_MAX, before clamping
 
 struct Request {
   enum class Verb {

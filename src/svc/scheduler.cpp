@@ -6,6 +6,7 @@
 #include <cmath>
 #include <utility>
 
+#include "alloc/cost.hpp"
 #include "alloc/optimizer.hpp"
 #include "alloc/portfolio.hpp"
 #include "obs/json.hpp"
@@ -14,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "rt/verify.hpp"
 
 namespace optalloc::svc {
 
@@ -136,7 +138,52 @@ void flight_postmortem(const std::string& id, std::uint64_t req,
   obs::trace_flush();
 }
 
+/// Map a search result onto the reply fields every answer carries.
+/// `canon` translates the allocation back into the requester's task order
+/// (submits solve the canonical instance; sessions solve their own).
+void fill_answer(SearchAnswer& answer, const alloc::OptimizeResult& result,
+                 const Canonical* canon) {
+  using Status = alloc::OptimizeResult::Status;
+  answer.status = result.status != Status::kBudgetExhausted
+                      ? result.status_string()
+                  : result.has_allocation ? "feasible"
+                                          : "unknown";
+  answer.proven_optimal = result.proven();
+  answer.cost = result.cost;
+  answer.lower_bound = result.lower_bound;
+  answer.has_allocation = result.has_allocation;
+  if (result.has_allocation) {
+    answer.allocation = canon != nullptr
+                            ? restore_allocation(*canon, result.allocation)
+                            : result.allocation;
+  }
+  answer.sat_calls = result.stats.sat_calls;
+}
+
 }  // namespace
+
+bool admit_answer(ResultCache& cache, const Canonical& canon,
+                  const alloc::OptimizeResult& result,
+                  rt::Allocation allocation) {
+  if (!result.proven()) return false;
+  CachedAnswer ca;
+  if (result.status == alloc::OptimizeResult::Status::kInfeasible) {
+    ca.infeasible = true;
+  } else if (!result.has_allocation ||
+             !rt::verify(canon.problem.tasks, canon.problem.arch, allocation)
+                  .feasible ||
+             alloc::objective_value(canon.problem, canon.objective,
+                                    allocation) != result.cost) {
+    return false;
+  } else {
+    ca.cost = result.cost;
+    ca.lower_bound = result.cost;
+    ca.has_allocation = true;
+    ca.allocation = std::move(allocation);
+  }
+  cache.put(canon.key, canon.text, std::move(ca));
+  return true;
+}
 
 Scheduler::Scheduler(const SchedulerOptions& options)
     : options_(options),
@@ -405,64 +452,42 @@ SessionAnswer Scheduler::run_session_solve(SessionEntry& entry,
                                            double deadline_s,
                                            std::int64_t conflicts) {
   obs::ContextScope ctx_scope(entry.ctx);
-  inc::SolveLimits limits;
-  limits.deadline_s = deadline_s;
-  limits.conflicts = conflicts;
-  limits.stop = &session_stop_;
+  alloc::OptimizeOptions budget;
+  budget.time_limit_s = deadline_s;
+  budget.per_call.conflicts = conflicts;
+  budget.stop = &session_stop_;
 
   inc::SessionResult result;
   alloc::Problem solved;  ///< post-edit instance, for the cache key
   {
     util::MutexLock lock(entry.mu);
-    result = patch != nullptr ? entry.session->revise(*patch, limits)
-                              : entry.session->solve(limits);
+    result = patch != nullptr ? entry.session->revise(*patch, budget)
+                              : entry.session->solve(budget);
     solved = entry.session->problem();
   }
-  obs::observe(metrics().revise_ms, result.seconds * 1000.0);
+  obs::observe(metrics().revise_ms, result.stats.seconds * 1000.0);
 
   SessionAnswer answer;
-  answer.status = inc::SessionResult::status_name(result.status);
-  answer.proven_optimal = result.proven_optimal;
-  answer.cost = result.cost;
-  answer.lower_bound = result.lower_bound;
+  fill_answer(answer, result, nullptr);
   answer.core = result.core;
   answer.error = result.error;
-  answer.sat_calls = result.sat_calls;
-  answer.solve_seconds = result.seconds;
+  answer.solve_seconds = result.stats.seconds;
   answer.groups_added = result.groups_added;
   answer.groups_retired = result.groups_retired;
   answer.groups_unchanged = result.groups_unchanged;
   answer.clauses_added = result.clauses_added;
-  if (result.has_allocation) {
-    answer.has_allocation = true;
-    answer.allocation = result.allocation;
-  }
 
   // Proven answers enter the result cache under the *post-edit* canonical
   // fingerprint: a later cold submit of the same edited instance hits,
   // while the base instance's own entry is untouched. The allocation is
   // translated into canonical indexing first — cached entries are always
   // canonical so restore_allocation works for any permuted duplicate.
-  const bool proven_optimum =
-      result.status == inc::SessionResult::Status::kOptimal;
-  const bool proven_infeasible =
-      result.status == inc::SessionResult::Status::kInfeasible &&
-      result.proven_optimal;
-  if (proven_optimum || proven_infeasible) {
+  if (result.proven()) {
     const Canonical canon = canonicalize(solved, entry.objective);
-    CachedAnswer ca;
-    if (proven_infeasible) {
-      ca.infeasible = true;
-    } else {
-      ca.cost = result.cost;
-      ca.lower_bound = result.cost;
-      if (result.has_allocation) {
-        ca.has_allocation = true;
-        ca.allocation = canonical_allocation(canon, result.allocation);
-      }
-    }
-    cache_.put(canon.key, canon.text, std::move(ca));
-    answer.cache_stored = true;
+    answer.cache_stored = admit_answer(
+        cache_, canon, result,
+        result.has_allocation ? canonical_allocation(canon, result.allocation)
+                              : rt::Allocation{});
   }
 
   if (obs::trace_enabled()) {
@@ -470,7 +495,7 @@ SessionAnswer Scheduler::run_session_solve(SessionEntry& entry,
         .str("session", entry.id)
         .num("edits", static_cast<std::int64_t>(edits))
         .str("status", answer.status)
-        .num("seconds", result.seconds);
+        .num("seconds", result.stats.seconds);
     if (!answer.core.empty()) {
       obs::JsonArray core;
       for (const std::string& name : answer.core) {
@@ -675,13 +700,12 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
     alloc::PortfolioResult pr = optimize_portfolio(
         job->canon.problem, job->canon.objective, popts);
     result = std::move(pr.best);
-    answer.sat_calls = 0;
+    result.stats.sat_calls = 0;
     for (const alloc::OptimizeStats& s : pr.per_config_stats) {
-      answer.sat_calls += s.sat_calls;
+      result.stats.sat_calls += s.sat_calls;
     }
   } else {
     result = alloc::optimize(job->canon.problem, job->canon.objective, opts);
-    answer.sat_calls = result.stats.sat_calls;
   }
   answer.solve_seconds = seconds_since(solve_start);
   obs::record(metrics().solve_time, answer.solve_seconds);
@@ -692,50 +716,15 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
     cancelled = job->cancel_requested;
   }
 
-  switch (result.status) {
-    case alloc::OptimizeResult::Status::kOptimal: {
-      answer.status = "optimal";
-      answer.proven_optimal = true;
-      answer.cost = result.cost;
-      answer.lower_bound = result.cost;
-      CachedAnswer ca;
-      ca.cost = result.cost;
-      ca.lower_bound = result.cost;
-      if (result.has_allocation) {
-        answer.has_allocation = true;
-        answer.allocation = restore_allocation(job->canon, result.allocation);
-        ca.has_allocation = true;
-        ca.allocation = result.allocation;
-      }
-      cache_.put(job->canon.key, job->canon.text, std::move(ca));
-      break;
+  fill_answer(answer, result, &job->canon);
+  admit_answer(cache_, job->canon, result, result.allocation);
+  if (!cancelled && deadline_set && !result.proven() &&
+      seconds_since(job->submitted) >= job->request.deadline_s - 0.01) {
+    answer.deadline_expired = true;
+    if (obs::trace_enabled()) {
+      obs::TraceEvent("deadline_expired").str("id", job->id);
     }
-    case alloc::OptimizeResult::Status::kInfeasible: {
-      answer.status = "infeasible";
-      answer.proven_optimal = true;
-      CachedAnswer ca;
-      ca.infeasible = true;
-      cache_.put(job->canon.key, job->canon.text, std::move(ca));
-      break;
-    }
-    case alloc::OptimizeResult::Status::kBudgetExhausted: {
-      answer.lower_bound = result.lower_bound;
-      if (result.has_allocation) {
-        answer.status = "feasible";
-        answer.cost = result.cost;
-        answer.has_allocation = true;
-        answer.allocation = restore_allocation(job->canon, result.allocation);
-      }
-      if (!cancelled && deadline_set &&
-          seconds_since(job->submitted) >= job->request.deadline_s - 0.01) {
-        answer.deadline_expired = true;
-        if (obs::trace_enabled()) {
-          obs::TraceEvent("deadline_expired").str("id", job->id);
-        }
-        flight_postmortem(job->id, job->ctx.req, "deadline_expired");
-      }
-      break;
-    }
+    flight_postmortem(job->id, job->ctx.req, "deadline_expired");
   }
 
   if (cancelled) {

@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc/optimizer.hpp"
 #include "alloc/problem.hpp"
 #include "inc/patch.hpp"
 #include "inc/session.hpp"
@@ -78,20 +79,26 @@ const char* job_state_name(JobState s);
 enum class JobPhase { kQueued, kWarmStart, kSolving, kFinished };
 const char* job_phase_name(JobPhase p);
 
-/// The anytime answer. `proven_optimal` is true only for a finished
-/// search (status "optimal" — and "infeasible", which is also a proof).
-struct JobAnswer {
-  std::string status = "unknown";  ///< optimal|infeasible|feasible|unknown
+/// The reply fields of one search, shared by submit and session answers
+/// and filled from an alloc::OptimizeResult by one helper. `proven_optimal`
+/// is true only for a finished search (status "optimal" — and
+/// "infeasible", which is also a proof).
+struct SearchAnswer {
+  std::string status = "unknown";  ///< optimal|infeasible|feasible|unknown|error
   bool proven_optimal = false;
-  bool deadline_expired = false;
-  bool cached = false;
   bool has_allocation = false;
   std::int64_t cost = -1;
   std::int64_t lower_bound = 0;
-  rt::Allocation allocation;       ///< requester's original indexing
+  rt::Allocation allocation;       ///< the requester's indexing
   int sat_calls = 0;
-  double queue_seconds = 0.0;
   double solve_seconds = 0.0;
+};
+
+/// The anytime answer to a submit.
+struct JobAnswer : SearchAnswer {
+  bool deadline_expired = false;
+  bool cached = false;
+  double queue_seconds = 0.0;
   double total_seconds = 0.0;
 };
 
@@ -121,19 +128,11 @@ struct JobInspect {
 };
 
 /// Answer of one session solve (open or revise) — the incremental
-/// counterpart of JobAnswer, with the delta/search statistics the
-/// session reports and, on infeasible edits, the named constraint core.
-struct SessionAnswer {
-  std::string status = "unknown";  ///< optimal|infeasible|feasible|unknown|error
-  bool proven_optimal = false;
-  bool has_allocation = false;
-  std::int64_t cost = -1;
-  std::int64_t lower_bound = 0;
-  rt::Allocation allocation;       ///< the session instance's indexing
+/// counterpart of JobAnswer, with the delta statistics the session
+/// reports and, on infeasible edits, the named constraint core.
+struct SessionAnswer : SearchAnswer {
   std::vector<std::string> core;   ///< infeasible: conflicting groups
   std::string error;               ///< status "error": what went wrong
-  int sat_calls = 0;
-  double solve_seconds = 0.0;
   int groups_added = 0;
   int groups_retired = 0;
   std::size_t groups_unchanged = 0;
@@ -143,6 +142,15 @@ struct SessionAnswer {
   /// hit it — and the base instance's entry is never poisoned).
   bool cache_stored = false;
 };
+
+/// Cache admission, the one way into the result cache: a proven answer
+/// for the canonical instance `canon` is stored only if `allocation` (in
+/// canonical indexing) passes rt::verify and re-evaluates to the
+/// reported cost. Proven infeasibility carries no allocation to check
+/// and is stored as is. Returns whether the answer was stored.
+bool admit_answer(ResultCache& cache, const Canonical& canon,
+                  const alloc::OptimizeResult& result,
+                  rt::Allocation allocation);
 
 struct ServiceStats {
   std::uint64_t submitted = 0;

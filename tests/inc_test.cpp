@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc/cost.hpp"
@@ -20,7 +22,9 @@
 #include "inc/patch.hpp"
 #include "inc/session.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/resource.hpp"
+#include "workload/generator.hpp"
 
 namespace optalloc::inc {
 namespace {
@@ -208,7 +212,7 @@ TEST(IncSession, BaseSolveMatchesColdOptimum) {
   ASSERT_EQ(cold.status, alloc::OptimizeResult::Status::kOptimal);
   EXPECT_TRUE(cold.certified) << cold.certify_error;
   EXPECT_EQ(inc.cost, cold.cost);
-  EXPECT_TRUE(inc.proven_optimal);
+  EXPECT_TRUE(inc.proven());
   ASSERT_TRUE(inc.has_allocation);
   // The decoded allocation must actually achieve the claimed optimum.
   const auto value = alloc::evaluate_allocation(
@@ -290,7 +294,7 @@ TEST(IncSession, InfeasibleEditYieldsConflictingCore) {
       R"({"op":"set_wcet","task":"control","ecu":1,"wcet":90}])");
   const SessionResult inc = session.revise(patch);
   ASSERT_EQ(inc.status, SessionResult::Status::kInfeasible);
-  EXPECT_TRUE(inc.proven_optimal);
+  EXPECT_TRUE(inc.proven());
   ASSERT_FALSE(inc.core.empty());
   // The named groups must genuinely conflict on their own.
   EXPECT_TRUE(session.core_is_conflicting(inc.core));
@@ -332,6 +336,63 @@ TEST(IncSession, RejectedPatchLeavesInstanceUntouched) {
   const SessionResult again = session.solve();
   ASSERT_EQ(again.status, SessionResult::Status::kOptimal);
   EXPECT_EQ(again.cost, base.cost);
+}
+
+TEST(IncSession, CoreExtractionStopsOnceTheStopFlagIsRaised) {
+  // A generated system whose three overloaded tasks make it infeasible;
+  // its core has enough members that minimization would probe several
+  // times.
+  workload::GenOptions gen;
+  gen.num_tasks = 7;
+  gen.num_chains = 2;
+  gen.num_ecus = 3;
+  gen.utilization = 0.45;
+  gen.seed = 10;
+  const alloc::Problem base = workload::generate(gen);
+  std::string ops;
+  for (int t = 0; t < 3; ++t) {
+    const rt::Task& task = base.tasks.tasks[static_cast<std::size_t>(
+        (gen.seed + 2 * t) % base.tasks.tasks.size())];
+    for (int e = 0; e < base.arch.num_ecus; ++e) {
+      if (task.wcet[static_cast<std::size_t>(e)] == rt::kForbidden) continue;
+      ops += (ops.empty() ? "[" : ",") + std::string(R"({"op":"set_wcet",)") +
+             R"("task":")" + task.name + R"(","ecu":)" + std::to_string(e) +
+             R"(,"wcet":)" + std::to_string(task.deadline * 6 / 10) + "}";
+    }
+  }
+  const InstancePatch overload = parse_ops(ops + "]");
+  const auto solver_calls = [] {
+    for (const obs::MetricValue& m : obs::snapshot()) {
+      if (m.name == "sat.solve_calls") return m.value;
+    }
+    return std::int64_t{0};
+  };
+
+  Session session(base, alloc::Objective::sum_trt());
+  ASSERT_EQ(session.solve().status, SessionResult::Status::kOptimal);
+  // The revise's search makes two SOLVE calls (capped at the previous
+  // optimum, then above it), both UNSAT. Once both are done, raise the
+  // stop flag: core extraction may finish the call in flight but must
+  // start no further one.
+  std::atomic<bool> stop{false};
+  std::atomic<bool> finished{false};
+  std::int64_t calls_at_stop = 0;
+  const std::int64_t calls_before = solver_calls();
+  std::thread watcher([&] {
+    while (!finished.load() && solver_calls() < calls_before + 2) {
+    }
+    stop.store(true);
+    calls_at_stop = solver_calls();
+  });
+  alloc::OptimizeOptions options;
+  options.stop = &stop;
+  const SessionResult inc = session.revise(overload, options);
+  finished.store(true);
+  watcher.join();
+  ASSERT_EQ(inc.status, SessionResult::Status::kInfeasible);
+  EXPECT_LE(solver_calls() - calls_at_stop, 1);
+  ASSERT_FALSE(inc.core.empty());
+  EXPECT_TRUE(session.core_is_conflicting(inc.core));
 }
 
 // --- Randomized edit-chain differential --------------------------------

@@ -123,6 +123,21 @@ TEST(ProblemIo, RejectsUnknownKeyword) {
   EXPECT_THROW(parse("system 1\nfrobnicate 3\n"), std::runtime_error);
 }
 
+TEST(ProblemIo, RejectsEcuCountAboveTheLimit) {
+  // Rejected before any per-ECU vector is sized.
+  try {
+    parse("system " + std::to_string(alloc::kMaxEcus + 1) + "\n");
+    FAIL() << "an ECU count above kMaxEcus must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(parse("system 99999999999999999999\n"), std::runtime_error);
+  EXPECT_EQ(parse("system " + std::to_string(alloc::kMaxEcus) + "\n")
+                .arch.num_ecus,
+            alloc::kMaxEcus);
+}
+
 TEST(ProblemIo, RejectsWcetArityMismatch) {
   EXPECT_THROW(parse("system 3\ntask a period=1 deadline=1 wcet=1,2\n"),
                std::runtime_error);

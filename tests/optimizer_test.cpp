@@ -8,6 +8,7 @@
 #include "alloc/optimizer.hpp"
 #include "heur/annealing.hpp"
 #include "heur/exhaustive.hpp"
+#include "inc/session.hpp"
 #include "rt/verify.hpp"
 #include "util/rng.hpp"
 #include "workload/tindell.hpp"
@@ -90,15 +91,19 @@ TEST(Strategies, AllVariantsAgreeOnTheOptimum) {
     const OptimizeResult c = optimize(p, obj, scratch);
     const OptimizeResult d = optimize(p, obj, pbmix);
     const OptimizeResult e = optimize(p, obj, warm);
+    inc::Session session(p, obj);  // zero edits: one guarded-encoding solve
+    const inc::SessionResult f = session.solve();
     ASSERT_EQ(a.status, b.status) << "round " << round;
     ASSERT_EQ(a.status, c.status) << "round " << round;
     ASSERT_EQ(a.status, d.status) << "round " << round;
     ASSERT_EQ(a.status, e.status) << "round " << round;
+    ASSERT_EQ(a.status, f.status) << "round " << round;
     if (a.status == OptimizeResult::Status::kOptimal) {
       EXPECT_EQ(a.cost, b.cost) << "round " << round;
       EXPECT_EQ(a.cost, c.cost) << "round " << round;
       EXPECT_EQ(a.cost, d.cost) << "round " << round;
       EXPECT_EQ(a.cost, e.cost) << "round " << round;
+      EXPECT_EQ(a.cost, f.cost) << "round " << round;
       ++checked;
     }
   }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "alloc/cost.hpp"
@@ -753,6 +755,62 @@ TEST(Protocol, ErrorCodesClassifyParseFailures) {
   EXPECT_EQ(reply->get_string("error"), "nope");
   EXPECT_EQ(reply->get_string("code"), "unknown_id");
   EXPECT_EQ(obs::json_parse(error_line("x"))->get_string("code"), "error");
+}
+
+TEST(Protocol, RejectsNonFiniteAndOutOfRangeNumbers) {
+  // Checked before any integer cast: 1e300 does not fit an int64, and an
+  // overflowing literal parses as infinity.
+  const std::string problem = R"("problem":"system 1")";
+  const std::string patch = R"("session":"s1","edits":[])";
+  const std::pair<std::string, std::string> verbs[] = {
+      {"submit", problem}, {"session_open", problem}, {"revise", patch}};
+  for (const auto& [verb, body] : verbs) {
+    for (const char* field :
+         {R"("deadline_ms":1e300)", R"("deadline_ms":1e999)",
+          R"("conflicts":1e300)", R"("conflicts":-1e999)"}) {
+      const std::string line =
+          R"({"verb":")" + verb + R"(",)" + body + "," + field + "}";
+      std::string error, code;
+      EXPECT_FALSE(parse_request(line, &error, &code).has_value()) << line;
+      EXPECT_EQ(code, "bad_request") << line;
+    }
+  }
+  std::string error, code;
+  EXPECT_FALSE(parse_request(R"({"verb":"submit",)" + problem +
+                                 R"(,"threads":1e300})",
+                             &error, &code)
+                   .has_value());
+  EXPECT_EQ(code, "bad_request");
+
+  // In range: accepted, and threads clamped to the hardware threads.
+  const auto ok = parse_request(
+      R"({"verb":"submit",)" + problem +
+          R"(,"deadline_ms":1e9,"conflicts":1e15,"threads":1e6})",
+      &error, &code);
+  ASSERT_TRUE(ok.has_value()) << error;
+  EXPECT_DOUBLE_EQ(ok->deadline_ms, kMaxDeadlineMs);
+  EXPECT_EQ(ok->conflicts, static_cast<std::int64_t>(kMaxConflicts));
+  EXPECT_GE(ok->threads, 1);
+  EXPECT_LE(ok->threads, static_cast<int>(std::max(
+                             1u, std::thread::hardware_concurrency())));
+}
+
+TEST(ResultCache, AdmissionRejectsAnAnswerWhoseCostIsWrong) {
+  const Canonical canon =
+      canonicalize(parse(kSystem), alloc::Objective::sum_trt());
+  alloc::OptimizeResult result =
+      alloc::optimize(canon.problem, canon.objective, {});
+  ASSERT_EQ(result.status, alloc::OptimizeResult::Status::kOptimal);
+
+  ResultCache cache(4, 1);
+  result.cost += 1;  // a verified allocation, but not at the reported cost
+  EXPECT_FALSE(admit_answer(cache, canon, result, result.allocation));
+  EXPECT_EQ(cache.stats().insertions, 0u);
+  EXPECT_FALSE(cache.get(canon.key, canon.text).has_value());
+
+  result.cost -= 1;
+  EXPECT_TRUE(admit_answer(cache, canon, result, result.allocation));
+  EXPECT_EQ(cache.stats().insertions, 1u);
 }
 
 // --- Server (protocol dispatch without sockets) ------------------------
