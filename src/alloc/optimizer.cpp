@@ -4,14 +4,12 @@
 #include <memory>
 #include <vector>
 
+#include "alloc/certify.hpp"
 #include "alloc/cost.hpp"
-#include "check/drat.hpp"
-#include "check/model.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "par/sharing.hpp"
-#include "rt/verify.hpp"
 #include "sat/proof.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
@@ -115,9 +113,12 @@ std::string OptimizeStats::summary() const {
   }
   if (models_certified > 0 || proofs_certified > 0) {
     std::snprintf(buf, sizeof buf,
-                  " certify: models=%d proofs=%d lemmas=%llu time=%.3fs",
+                  " certify: models=%d proofs=%d lemmas=%llu (hinted=%llu "
+                  "rup=%llu) time=%.3fs",
                   models_certified, proofs_certified,
                   static_cast<unsigned long long>(proof_lemmas_checked),
+                  static_cast<unsigned long long>(proof_lemmas_hinted),
+                  static_cast<unsigned long long>(proof_lemmas_rup),
                   certify_seconds);
     s += buf;
   }
@@ -255,104 +256,8 @@ OptimizeResult search(const Problem& problem, Objective objective,
     return cap;
   };
 
-  // --- Certification machinery (active only under options.certify). -----
-  // Every SAT answer is replayed against the PB store and the pre-encode
-  // IR formulas; every UNSAT answer contributes its core lemma as a proof
-  // obligation, discharged by one backward RUP-checking pass when its
-  // encoder retires (incremental: at the end; scratch: per call); the
-  // final allocation is re-validated by the independent RT analysis.
-  std::vector<std::size_t> unsat_steps;  // proof-step indices of UNSAT cores
-  bool cert_ok = true;
-  auto cert_fail = [&](std::string msg) {
-    if (cert_ok) {
-      cert_ok = false;
-      result.certify_error = std::move(msg);
-    }
-    log_info("certify: FAILED: %s", result.certify_error.c_str());
-  };
-
-  auto certify_model = [&](AllocEncoder& enc, std::optional<std::int64_t> lo,
-                           std::optional<std::int64_t> hi) {
-    if (!options.certify) return;
-    obs::Span span("certify");
-    Stopwatch sw;
-    const check::ModelResult mr =
-        check::check_model(enc.ctx(), enc.asserted_formulas(), enc.blaster(),
-                           enc.solver(), &enc.pb());
-    bool ok = mr.ok;
-    std::string err = mr.error;
-    if (ok) {
-      const std::int64_t cost = enc.decode_cost();
-      if ((lo && cost < *lo) || (hi && cost > *hi)) {
-        ok = false;
-        err = "decoded cost " + std::to_string(cost) +
-              " escapes the queried bounds";
-      }
-    }
-    result.stats.certify_seconds += sw.seconds();
-    if (ok) {
-      ++result.stats.models_certified;
-    } else {
-      cert_fail("model: " + err);
-    }
-    if (obs::trace_enabled()) {
-      obs::TraceEvent e("certify");
-      e.str("kind", "model").boolean("ok", ok);
-      if (!ok) e.str("error", err);
-    }
-  };
-
-  auto certify_proof = [&](const sat::ProofLog& log,
-                           std::span<const std::size_t> targets) {
-    if (!options.certify) return;
-    obs::Span span("certify");
-    Stopwatch sw;
-    const check::DratResult dr = check::check_proof(log, targets);
-    result.stats.certify_seconds += sw.seconds();
-    if (dr.ok) {
-      ++result.stats.proofs_certified;
-      result.stats.proof_lemmas_checked += dr.lemmas_checked;
-    } else {
-      cert_fail("proof: " + dr.error);
-    }
-    if (obs::trace_enabled()) {
-      obs::TraceEvent e("certify");
-      e.str("kind", "proof")
-          .boolean("ok", dr.ok)
-          .num("lemmas", static_cast<std::int64_t>(dr.lemmas_checked))
-          .num("theory", static_cast<std::int64_t>(dr.theory_checked));
-      if (!dr.ok) e.str("error", dr.error);
-    }
-  };
-
-  auto certify_allocation = [&] {
-    if (!options.certify || !result.has_allocation) return;
-    obs::Span span("certify");
-    Stopwatch sw;
-    bool ok = true;
-    std::string err;
-    const rt::VerifyReport report =
-        rt::verify(problem.tasks, problem.arch, result.allocation);
-    if (!report.feasible) {
-      ok = false;
-      err = "final allocation failed RT re-validation";
-    } else {
-      const std::int64_t value =
-          objective_value(problem, objective, result.allocation);
-      if (value != result.cost) {
-        ok = false;
-        err = "objective re-evaluates to " + std::to_string(value) +
-              ", solver reported " + std::to_string(result.cost);
-      }
-    }
-    result.stats.certify_seconds += sw.seconds();
-    if (!ok) cert_fail("allocation: " + err);
-    if (obs::trace_enabled()) {
-      obs::TraceEvent e("certify");
-      e.str("kind", "allocation").boolean("ok", ok);
-      if (!ok) e.str("error", err);
-    }
-  };
+  // --- Certification (active only under options.certify). ---------------
+  Certifier cert(problem, objective, options.certify, result);
 
   // One SOLVE call against `enc`, with wall time, SAT/UNSAT breakdown,
   // and a "solve" trace event carrying the queried bounds.
@@ -377,13 +282,7 @@ OptimizeResult search(const Problem& problem, Objective objective,
       ++result.stats.sat_calls_sat;
     } else if (verdict == sat::LBool::kFalse) {
       ++result.stats.sat_calls_unsat;
-      // The last logged step is this answer's conflict-core (or empty)
-      // lemma: a proof obligation for the final backward check.
-      const sat::ProofLog* log = enc.solver().proof();
-      if (log != nullptr && log->num_steps() > 0 &&
-          log->step(log->last_step()).kind == sat::ProofStepKind::kLemma) {
-        unsat_steps.push_back(log->last_step());
-      }
+      cert.note_unsat(enc.solver().proof());
     }
     if (obs::flight_enabled()) {
       // Numeric result code (flight records carry numbers only):
@@ -453,10 +352,10 @@ OptimizeResult search(const Problem& problem, Objective objective,
   // Discharge the encoder's logged UNSAT cores (only for answers that
   // stand: `check`) and fold its solver statistics into the result.
   auto retire_encoder = [&](bool check, bool infeasible) {
-    if (check && proof != nullptr && (!unsat_steps.empty() || infeasible)) {
-      certify_proof(*proof, unsat_steps);
+    if (check && proof != nullptr && (cert.has_obligations() || infeasible)) {
+      cert.proof(*proof);
     }
-    unsat_steps.clear();
+    cert.drop_obligations();
     absorb_stats(result.stats, *enc);
   };
 
@@ -465,8 +364,8 @@ OptimizeResult search(const Problem& problem, Objective objective,
     retire_encoder(result.proven(),
                    status == OptimizeResult::Status::kInfeasible);
     if (options.certify && result.proven()) {
-      certify_allocation();
-      result.certified = cert_ok;
+      cert.allocation();
+      result.certified = cert.ok();
     }
     result.stats.conflicts = conflicts_seen;
     result.stats.seconds = total.seconds();
@@ -513,7 +412,7 @@ OptimizeResult search(const Problem& problem, Objective objective,
   };
   auto adopt_model = [&](std::optional<std::int64_t> lo,
                          std::optional<std::int64_t> hi) {
-    certify_model(*enc, lo, hi);
+    cert.model(*enc, lo, hi);
     result.cost = enc->decode_cost();
     result.allocation = enc->decode();
     result.has_allocation = true;

@@ -144,7 +144,9 @@ struct OptimizeStats {
   // Certification effort (all zero unless OptimizeOptions::certify).
   int models_certified = 0;   ///< SAT answers accepted by the model checker
   int proofs_certified = 0;   ///< proof checker passes (per log checked)
-  std::uint64_t proof_lemmas_checked = 0;  ///< RUP lemmas verified
+  std::uint64_t proof_lemmas_checked = 0;  ///< lemmas verified (both paths)
+  std::uint64_t proof_lemmas_hinted = 0;   ///< ...by their hint chains
+  std::uint64_t proof_lemmas_rup = 0;      ///< ...by RUP (no hints)
   double certify_seconds = 0.0;
 
   /// One-line human summary ("calls=7 (5 sat/2 unsat) encode=0.1s ...").

@@ -49,7 +49,7 @@
 // {"ok":false,"error":m,"code":c} where `code` is a stable machine-
 // readable discriminator ("bad_json", "bad_request", "unknown_verb",
 // "unknown_id", "bad_problem", "queue_full", "unknown_session",
-// "bad_patch") — clients branch on it
+// "bad_patch", "line_too_long") — clients branch on it
 // without parsing prose. Unknown verbs in particular are answered (with
 // code "unknown_verb"), never silently dropped.
 // The problem text is the alloc::io file format embedded as one JSON
@@ -60,6 +60,7 @@
 // and at most the limits below ("bad_request" otherwise); threads is then
 // clamped to the machine's hardware threads.
 
+#include <cstddef>
 #include <optional>
 #include <string>
 
@@ -74,6 +75,12 @@ namespace optalloc::svc {
 constexpr double kMaxDeadlineMs = 1e9;         ///< about 11.6 days
 constexpr double kMaxConflicts = 1e15;         ///< per SOLVE call
 constexpr double kMaxThreads = 2147483647.0;   ///< INT_MAX, before clamping
+
+/// Longest request line a connection may send, in bytes (the newline not
+/// counted). Far above any real request — a problem text is a few KiB —
+/// it bounds what one client can make the server buffer. A longer line
+/// gets a "line_too_long" error and the connection is closed.
+constexpr std::size_t kMaxLineBytes = std::size_t{4} << 20;
 
 struct Request {
   enum class Verb {

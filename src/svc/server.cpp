@@ -131,6 +131,7 @@ void Server::run() {
 
 void Server::serve_connection(int fd) {
   std::string buffer;
+  std::size_t scanned = 0;  // buffer[0, scanned) holds no newline
   char chunk[4096];
   for (;;) {
     pollfd pfd{fd, POLLIN, 0};
@@ -147,9 +148,15 @@ void Server::serve_connection(int fd) {
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n <= 0) break;  // EOF or error
     buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t nl;
     bool closed = false;
-    while ((nl = buffer.find('\n')) != std::string::npos) {
+    bool too_long = false;
+    std::size_t nl;
+    while ((nl = buffer.find('\n', scanned)) != std::string::npos) {
+      scanned = 0;
+      if (nl > kMaxLineBytes) {
+        too_long = true;
+        break;
+      }
       const std::string line = buffer.substr(0, nl);
       buffer.erase(0, nl + 1);
       if (line.empty()) continue;
@@ -159,6 +166,18 @@ void Server::serve_connection(int fd) {
       }
     }
     if (closed) break;
+    if (!too_long) {
+      // What is left is one unterminated line.
+      scanned = buffer.size();
+      too_long = buffer.size() > kMaxLineBytes;
+    }
+    if (too_long) {
+      send_all(fd, error_line("request line exceeds " +
+                                  std::to_string(kMaxLineBytes) + " bytes",
+                              "line_too_long") +
+                       "\n");
+      break;
+    }
   }
   ::close(fd);
 }

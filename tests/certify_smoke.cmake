@@ -1,7 +1,8 @@
 # End-to-end certification smoke test (driven by ctest, see
 # tests/CMakeLists): run allocate_file with --certify on the bundled
 # gateway problem, require a certified optimum, then re-verify the dumped
-# proof log with the standalone drat_check tool in strict mode.
+# proof log with the standalone drat_check tool in strict mode. The solver
+# logs hints, so the strict check must take the hinted path.
 #
 # Expects: -DALLOCATE_FILE=<path> -DDRAT_CHECK=<path> -DPROBLEM=<path>
 #          -DWORK_DIR=<scratch dir>
@@ -38,5 +39,8 @@ if(NOT check_status EQUAL 0)
 endif()
 if(NOT check_output MATCHES "VERIFIED")
   message(FATAL_ERROR "drat_check did not verify:\n${check_output}")
+endif()
+if(NOT check_output MATCHES "hinted: [1-9]")
+  message(FATAL_ERROR "the dumped proof carries no hints:\n${check_output}")
 endif()
 message(STATUS "certified optimum + proof ok:\n${allocate_output}")

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -193,6 +194,7 @@ TEST(DratCheck, CorruptedLearntClauseIsRejected) {
   // every healthy log verifies.
   Rng rng(0xBADC0DE);
   int rejected = 0;
+  int rejected_default = 0;
   for (int round = 0; round < 40; ++round) {
     std::vector<LitVec> cs;
     for (int i = 0; i < 34; ++i) {
@@ -225,10 +227,153 @@ TEST(DratCheck, CorruptedLearntClauseIsRejected) {
       ProofLog corrupted;
       run(n, corrupted);  // verdict itself is untrusted under injection
       if (!check::check_proof_all(corrupted).ok) ++rejected;
+      if (!check::check_proof(corrupted).ok) ++rejected_default;
     }
   }
   EXPECT_GT(rejected, 0)
       << "no injected corruption was caught by the strict checker";
+  // Default mode checks only what the final lemma depends on; the
+  // corrupted clause sits in the solver's database, so later derivations
+  // that use it name it as a hint and pull it into the check.
+  EXPECT_GT(rejected_default, 0)
+      << "no injected corruption was caught by the default checker";
+}
+
+// -- Hinted lemmas ----------------------------------------------------------
+
+/// (x|y)(~x|y)(x|~y)(~x|~y) |- y |- {} with hints: under ~y, step 0 is
+/// unit on x and step 1 falsified; under the empty lemma's negation, the
+/// unit y (step 4) assigns y, step 2 assigns x, step 3 is falsified.
+ProofLog hinted_core(const std::vector<sat::ProofId>& y_hints) {
+  ProofLog log;
+  log.add_input(LitVec{pos(0), pos(1)});
+  log.add_input(LitVec{neg(0), pos(1)});
+  log.add_input(LitVec{pos(0), neg(1)});
+  log.add_input(LitVec{neg(0), neg(1)});
+  log.add_lemma(LitVec{pos(1)}, y_hints);
+  const std::vector<sat::ProofId> empty_hints = {4, 2, 3};
+  log.add_lemma(LitVec{}, empty_hints);
+  return log;
+}
+
+TEST(DratCheck, HintedChainVerifiesWithoutRup) {
+  const ProofLog log = hinted_core({0, 1});
+  for (const check::DratResult& res :
+       {check::check_proof(log), check::check_proof_all(log)}) {
+    EXPECT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.hinted_checked, 2u);
+    EXPECT_EQ(res.rup_checked, 0u);
+    EXPECT_EQ(res.lemmas_checked, 2u);
+  }
+}
+
+/// Every corrupted chain must be rejected in both modes, naming the lemma
+/// at step index 4 (text ID 5) and containing `why`.
+void expect_rejected(const ProofLog& log, const std::string& why) {
+  for (const check::DratResult& res :
+       {check::check_proof(log), check::check_proof_all(log)}) {
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("lemma at step 5"), std::string::npos)
+        << res.error;
+    EXPECT_NE(res.error.find(why), std::string::npos) << res.error;
+  }
+}
+
+TEST(DratCheck, HintNamingALaterStepIsRejected) {
+  expect_rejected(hinted_core({0, 5}), "step 6 is not an earlier step");
+}
+
+TEST(DratCheck, HintNamingADeletedClauseIsRejected) {
+  ProofLog log;
+  log.add_input(LitVec{pos(0), pos(1)});
+  log.add_input(LitVec{neg(0), pos(1)});
+  log.add_input(LitVec{pos(0), neg(1)});
+  log.add_delete(sat::ProofId{1});  // step 3 deletes step 1 (text ID 2)
+  log.add_lemma(LitVec{pos(1)}, std::vector<sat::ProofId>{0, 1});
+  expect_rejected(log, "step 2 was deleted at step 4");
+}
+
+TEST(DratCheck, HintNamingAnUnrelatedClauseIsRejected) {
+  // Step 2, (x|~y), is satisfied once ~y is asserted: not unit.
+  expect_rejected(hinted_core({0, 2}), "step 3 is satisfied");
+  // A clause over other variables keeps two literals unassigned.
+  ProofLog log;
+  log.add_input(LitVec{pos(0), pos(1)});
+  log.add_input(LitVec{neg(0), pos(1)});
+  log.add_input(LitVec{pos(2), pos(3)});
+  log.add_input(LitVec{neg(2)});
+  log.add_lemma(LitVec{pos(1)}, std::vector<sat::ProofId>{0, 2});
+  expect_rejected(log, "step 3 is not unit");
+}
+
+TEST(DratCheck, DroppedHintIsRejected) {
+  // Without step 1 the chain stops at x: no conflict, and no RUP fallback
+  // (the lemma is RUP, so a fallback would have accepted it).
+  expect_rejected(hinted_core({0}), "ends without a conflict");
+}
+
+TEST(DratCheck, HintedRoundTripKeepsVerdictAndCounts) {
+  sat::Solver s;
+  ProofLog log;
+  s.set_proof(&log);
+  add_pigeonhole(s, 5, 4);
+  ASSERT_EQ(s.solve(), sat::LBool::kFalse);
+
+  std::ostringstream os;
+  log.write_text(os);
+  ProofLog parsed;
+  std::string error;
+  std::istringstream is(os.str());
+  ASSERT_TRUE(parsed.parse_text(is, &error)) << error;
+  ASSERT_EQ(parsed.num_steps(), log.num_steps());
+  for (std::size_t i = 0; i < log.num_steps(); ++i) {
+    const sat::ProofStep& a = log.step(i);
+    const sat::ProofStep& b = parsed.step(i);
+    ASSERT_EQ(a.kind, b.kind) << "step " << i;
+    ASSERT_TRUE(std::ranges::equal(log.lits(a), parsed.lits(b))) << i;
+    ASSERT_TRUE(std::ranges::equal(log.hints(a), parsed.hints(b))) << i;
+  }
+
+  for (const bool strict : {false, true}) {
+    const check::DratResult a =
+        strict ? check::check_proof_all(log) : check::check_proof(log);
+    const check::DratResult b =
+        strict ? check::check_proof_all(parsed) : check::check_proof(parsed);
+    ASSERT_TRUE(a.ok) << a.error;
+    EXPECT_EQ(b.ok, a.ok) << b.error;
+    EXPECT_GT(a.hinted_checked, 0u);
+    EXPECT_EQ(b.lemmas_checked, a.lemmas_checked);
+    EXPECT_EQ(b.hinted_checked, a.hinted_checked);
+    EXPECT_EQ(b.rup_checked, a.rup_checked);
+    EXPECT_EQ(b.theory_checked, a.theory_checked);
+    EXPECT_EQ(b.db_clauses, a.db_clauses);
+  }
+}
+
+TEST(DratCheck, LegacyHintFreeTextStillVerifies) {
+  // A plain DRAT-style log: no hints, literal deletions (one matching a
+  // clause, one matching none). Every lemma takes the RUP path.
+  ProofLog log;
+  std::string error;
+  std::istringstream is(
+      "i 1 2 0\ni -1 2 0\ni 1 -2 0\ni -1 -2 0\n"
+      "2 0\nd -1 2 0\nd 3 4 0\n0\n");
+  ASSERT_TRUE(log.parse_text(is, &error)) << error;
+  EXPECT_EQ(log.deleted(log.step(5)), sat::kNoProofId);
+  const check::DratResult res = check::check_proof_all(log);
+  EXPECT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.hinted_checked, 0u);
+  EXPECT_EQ(res.rup_checked, 2u);
+}
+
+TEST(ProofLog, ParseRejectsMalformedHints) {
+  for (const char* text : {"1 0 2\n", "1 0 -2 0\n", "i 1 0 1 0\n",
+                           "d 1 0 1 2 0\n", "1 0 1 0 7\n"}) {
+    ProofLog log;
+    std::string error;
+    std::istringstream is(text);
+    EXPECT_FALSE(log.parse_text(is, &error)) << text;
+  }
 }
 
 // -- Invariant auditing ---------------------------------------------------

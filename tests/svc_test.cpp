@@ -5,11 +5,15 @@
 // (driven through handle_line, no sockets).
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
@@ -661,8 +665,15 @@ TEST(Protocol, ParsesRequestsAndRejectsGarbage) {
   EXPECT_EQ(submit->objective, "feasibility");
   EXPECT_DOUBLE_EQ(submit->deadline_ms, 250.0);
   EXPECT_EQ(submit->conflicts, 5000);
-  EXPECT_EQ(submit->threads, 2);
+  // threads is clamped to the hardware threads; parsing starts none.
+  const int hardware =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(submit->threads, std::min(2, hardware));
   EXPECT_TRUE(submit->wait);
+  const auto many = parse_request(
+      R"({"verb":"submit","problem":"system 1","threads":1000000})", &error);
+  ASSERT_TRUE(many.has_value()) << error;
+  EXPECT_EQ(many->threads, hardware);
 
   const auto cancel =
       parse_request(R"({"verb":"cancel","id":"r7"})", &error);
@@ -881,6 +892,73 @@ TEST(Server, HandlesFullRequestLifecycle) {
   ASSERT_TRUE(bye.has_value());
   EXPECT_TRUE(bye->get("ok")->b);
   EXPECT_TRUE(server.stop_requested());
+}
+
+/// Connect to a listening Unix socket; -1 on failure.
+int connect_unix(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", path.c_str());
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Read one newline-terminated reply ("" on EOF first).
+std::string read_line(int fd) {
+  std::string line;
+  char c = 0;
+  while (::recv(fd, &c, 1, 0) == 1) {
+    if (c == '\n') return line;
+    line.push_back(c);
+  }
+  return line;
+}
+
+TEST(Server, OversizedLineGetsStructuredErrorAndClose) {
+  ServerOptions options;
+  options.scheduler = quick_options(1);
+  Server server(options);
+  const std::string path = ::testing::TempDir() + "optalloc_line_cap_" +
+                           std::to_string(::getpid()) + ".sock";
+  ASSERT_TRUE(server.listen_unix(path));
+  std::thread loop([&server] { server.run(); });
+
+  const int fd = connect_unix(path);
+  ASSERT_GE(fd, 0);
+  // A normal line is served as usual on the same connection.
+  const std::string stats = R"({"verb":"stats"})" "\n";
+  ASSERT_EQ(::send(fd, stats.data(), stats.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(stats.size()));
+  const auto ok = obs::json_parse(read_line(fd));
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_TRUE(ok->get("ok")->b);
+
+  // One byte past the cap, never terminated: the server must answer with
+  // line_too_long and hang up instead of buffering on.
+  const std::string block(64 * 1024, 'x');
+  std::size_t sent = 0;
+  while (sent <= kMaxLineBytes) {
+    const std::size_t want = std::min(block.size(), kMaxLineBytes + 1 - sent);
+    const ssize_t n = ::send(fd, block.data(), want, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+  const auto err = obs::json_parse(read_line(fd));
+  ASSERT_TRUE(err.has_value());
+  EXPECT_FALSE(err->get("ok")->b);
+  EXPECT_EQ(err->get_string("code"), "line_too_long");
+  char c = 0;
+  EXPECT_EQ(::recv(fd, &c, 1, 0), 0);  // closed by the server
+  ::close(fd);
+
+  server.request_stop();
+  loop.join();
 }
 
 TEST(Server, UnknownVerbRepliesWithStructuredCode) {

@@ -1,7 +1,9 @@
 // Standalone proof checker for the extended-DRAT logs this project's
 // solver emits (see src/sat/proof.hpp for the format and src/check/drat.hpp
 // for the checking discipline). Reads a proof from a file or stdin and
-// verifies it with the independent backward RUP checker.
+// verifies it with the independent backward checker: hinted lemmas by
+// their hint chains, hint-free ones (legacy DRAT included) by RUP. The
+// summary line says how many lemmas took each path.
 //
 //   $ ./drat_check proof.drat          # strict: every lemma checked
 //   $ ./drat_check --targets proof.drat  # only the final/empty lemmas
@@ -58,10 +60,10 @@ int main(int argc, char** argv) {
 
   const check::DratResult res =
       strict ? check::check_proof_all(log) : check::check_proof(log);
-  std::printf("steps: %zu  db-clauses: %zu  lemmas-checked: %zu  "
-              "theory-checked: %zu\n",
+  std::printf("steps: %zu  db-clauses: %zu  lemmas-checked: %zu "
+              "(hinted: %zu  rup: %zu)  theory-checked: %zu\n",
               log.num_steps(), res.db_clauses, res.lemmas_checked,
-              res.theory_checked);
+              res.hinted_checked, res.rup_checked, res.theory_checked);
   if (res.ok) {
     std::printf("VERIFIED\n");
     return 0;
