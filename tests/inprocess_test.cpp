@@ -245,6 +245,36 @@ TEST(Inprocess, IncrementalClauseOverEliminatedVariableRestores) {
   EXPECT_TRUE(res.ok) << res.error;
 }
 
+TEST(Inprocess, ProofHintsSurviveEliminationAndRestore) {
+  // Every lemma of this run carries hints, through eliminations and a
+  // cascading restore: a resolvent lists its parents, and a restored
+  // clause is re-attached under the step ID it was logged with, so later
+  // chains can name it. Strict checking must then verify every lemma by
+  // its chain, none by RUP.
+  Solver s;
+  ProofLog log;
+  s.set_proof(&log);
+  const Var v = s.new_var(), a = s.new_var(), b = s.new_var(),
+            c = s.new_var();
+  ASSERT_TRUE(s.add_binary(pos(a), pos(v)));
+  ASSERT_TRUE(s.add_binary(pos(b), neg(v)));  // resolvent on v: (a | b)
+
+  Inprocessor pass(s);
+  ASSERT_TRUE(pass.run());
+  ASSERT_TRUE(s.is_eliminated(v));
+
+  ASSERT_TRUE(s.add_binary(neg(v), pos(c)));  // mentions v: restores it
+  ASSERT_FALSE(s.is_eliminated(v));
+  s.add_clause(std::vector<Lit>{neg(c)});     // ~c forces ~v, then a
+  s.add_clause(std::vector<Lit>{neg(a)});     // contradicts a
+  EXPECT_EQ(s.solve(), LBool::kFalse);
+
+  const check::DratResult res = check::check_proof_all(log);
+  EXPECT_TRUE(res.ok) << res.error;
+  EXPECT_GT(res.hinted_checked, 0u);
+  EXPECT_EQ(res.rup_checked, 0u);
+}
+
 TEST(Inprocess, FirstSolveAutoFreezesAssumptions) {
   // The other direction of the contract: assumptions passed to solve()
   // are frozen on entry, so the preprocessing pass inside that very
