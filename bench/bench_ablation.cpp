@@ -11,7 +11,6 @@
 // All variants run the same instance (a mid-size prefix of the
 // Tindell-style system) to proven optimality, so runtimes are comparable.
 
-#include "alloc/portfolio.hpp"
 #include "bench_common.hpp"
 #include "workload/tindell.hpp"
 
@@ -78,18 +77,5 @@ int main() {
   run_variant(json, "fixed tie-break priorities", p, obj, fixed_ties, true);
 
   run_variant(json, "no warm start", p, obj, base, false);
-
-  // Parallel portfolio (bisection + descending + PB racing on threads).
-  {
-    Stopwatch sw;
-    alloc::PortfolioOptions popts;
-    popts.time_limit_s = bench::budget_seconds();
-    const auto res = alloc::optimize_portfolio(p, obj, popts);
-    json.add_result("portfolio (3 threads)", res.best);
-    std::printf("%-28s %-22s %-10s winner=%d\n", "portfolio (3 threads)",
-                bench::result_cell(res.best).c_str(),
-                Stopwatch::pretty_seconds(sw.seconds()).c_str(),
-                res.winner);
-  }
   return 0;
 }

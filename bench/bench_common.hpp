@@ -137,7 +137,7 @@ class JsonReport {
     rows_.push(row.build());
   }
 
-  /// Row from a bare optimizer result (ablation variants, portfolio).
+  /// Row from a bare optimizer result (ablation variants).
   void add_result(const std::string& instance,
                   const alloc::OptimizeResult& res) {
     obs::JsonObject row;

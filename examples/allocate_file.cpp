@@ -23,17 +23,12 @@
 // every search step (models on SAT, DRAT proofs on UNSAT, RT re-analysis
 // of the answer) and the exit status reflects the verdict; --proof FILE
 // additionally dumps the solver's proof log for the standalone
-// drat_check tool. --threads N (or --portfolio for an auto worker count)
-// runs the cooperative parallel portfolio: N diversified CDCL workers
-// exchanging learnt clauses and cost bounds (see README "Parallel
-// solving").
+// drat_check tool.
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "alloc/io.hpp"
@@ -42,7 +37,6 @@
 #include "obs/trace.hpp"
 #include "rt/report.hpp"
 #include "alloc/optimizer.hpp"
-#include "alloc/portfolio.hpp"
 #include "heur/annealing.hpp"
 #include "rt/verify.hpp"
 #include "sat/proof.hpp"
@@ -56,7 +50,7 @@ int usage(const char* prog) {
                "usage: %s <file|-> [objective] [--time <seconds>] "
                "[--timeout <ms>] "
                "[--trace <file>] [--stats] [--report] [--dot] "
-               "[--certify] [--proof <file>] [--threads <n> | --portfolio] "
+               "[--certify] [--proof <file>] "
                "[--no-inprocess] [--inprocess-interval <conflicts>]\n",
                prog);
   return 2;
@@ -69,7 +63,6 @@ int main(int argc, char** argv) {
   bool want_report = false;
   bool want_dot = false;
   bool want_stats = false;
-  int threads = 1;
   const char* proof_path = nullptr;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
@@ -77,15 +70,6 @@ int main(int argc, char** argv) {
       opts.time_limit_s = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
       opts.time_limit_s = std::atof(argv[++i]) / 1000.0;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-      if (threads < 1) {
-        std::fprintf(stderr, "error: --threads wants a positive count\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--portfolio") == 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      threads = hw == 0 ? 4 : static_cast<int>(hw > 8 ? 8 : hw);
     } else if (std::strcmp(argv[i], "--report") == 0) {
       want_report = true;
     } else if (std::strcmp(argv[i], "--dot") == 0) {
@@ -143,35 +127,13 @@ int main(int argc, char** argv) {
   }
   if (want_stats) obs::set_phase_timing(true);
   sat::ProofLog proof_log;
-  if (proof_path != nullptr) {
-    if (threads > 1) {
-      // One proof log cannot interleave several workers' derivations.
-      std::fprintf(stderr, "error: --proof needs a single-threaded run\n");
-      return 2;
-    }
-    opts.proof = &proof_log;
-  }
+  if (proof_path != nullptr) opts.proof = &proof_log;
 
   // Heuristic seed (also the anytime fallback under tight budgets).
   const auto sa = heur::anneal(problem, objective, {.iterations = 8000});
   if (sa.feasible) opts.warm_start = sa.allocation;
 
-  alloc::OptimizeResult res;
-  alloc::SharingStats sharing;
-  int winner = -1;
-  if (threads > 1) {
-    alloc::PortfolioOptions popts;
-    popts.threads = threads;
-    popts.base_config = opts;
-    popts.time_limit_s = opts.time_limit_s;
-    alloc::PortfolioResult pres =
-        alloc::optimize_portfolio(problem, objective, popts);
-    res = std::move(pres.best);
-    sharing = pres.sharing;
-    winner = pres.winner;
-  } else {
-    res = alloc::optimize(problem, objective, opts);
-  }
+  const alloc::OptimizeResult res = alloc::optimize(problem, objective, opts);
   obs::trace_close();
   if (proof_path != nullptr) {
     std::ofstream out(proof_path);
@@ -195,15 +157,6 @@ int main(int argc, char** argv) {
     }
   }
   if (want_stats) {
-    if (threads > 1) {
-      std::printf("parallel:  threads=%d winner=%d exported=%llu "
-                  "imported=%llu bounds_pub=%llu bounds_adopt=%llu\n",
-                  threads, winner,
-                  static_cast<unsigned long long>(sharing.clauses_exported),
-                  static_cast<unsigned long long>(sharing.clauses_imported),
-                  static_cast<unsigned long long>(sharing.bounds_published),
-                  static_cast<unsigned long long>(sharing.bounds_adopted));
-    }
     std::printf("effort:    %s\n", res.stats.summary().c_str());
     std::printf("--- metrics ---\n%s", obs::render_metrics().c_str());
   }

@@ -7,15 +7,12 @@
 //   $ ./hierarchical_gateway --trace t.jsonl   # JSONL telemetry
 //   $ ./hierarchical_gateway --stats           # search-effort summary
 //   $ ./hierarchical_gateway --certify         # checker-verified optimum
-//   $ ./hierarchical_gateway --threads 4       # cooperative portfolio
 
 #include <cstdio>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include "alloc/optimizer.hpp"
-#include "alloc/portfolio.hpp"
 #include "net/paths.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -26,22 +23,12 @@ using namespace optalloc;
 int main(int argc, char** argv) {
   bool want_stats = false;
   bool want_certify = false;
-  int threads = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--stats") == 0) {
       want_stats = true;
       obs::set_phase_timing(true);
     } else if (std::strcmp(argv[i], "--certify") == 0) {
       want_certify = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-      if (threads < 1) {
-        std::fprintf(stderr, "error: --threads wants a positive count\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--portfolio") == 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      threads = hw == 0 ? 4 : static_cast<int>(hw > 8 ? 8 : hw);
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       if (!obs::trace_open(argv[++i])) {
         std::fprintf(stderr, "error: cannot open trace file %s\n", argv[i]);
@@ -93,21 +80,8 @@ int main(int argc, char** argv) {
 
   alloc::OptimizeOptions opts;
   opts.certify = want_certify;
-  alloc::OptimizeResult res;
-  alloc::SharingStats sharing;
-  int winner = -1;
-  if (threads > 1) {
-    alloc::PortfolioOptions popts;
-    popts.threads = threads;
-    popts.base_config = opts;
-    alloc::PortfolioResult pres =
-        alloc::optimize_portfolio(p, alloc::Objective::sum_trt(), popts);
-    res = std::move(pres.best);
-    sharing = pres.sharing;
-    winner = pres.winner;
-  } else {
-    res = alloc::optimize(p, alloc::Objective::sum_trt(), opts);
-  }
+  const alloc::OptimizeResult res =
+      alloc::optimize(p, alloc::Objective::sum_trt(), opts);
   obs::trace_close();
   std::printf("status: %s, sum of TRTs = %lld ticks\n",
               res.status_string().c_str(), static_cast<long long>(res.cost));
@@ -120,15 +94,6 @@ int main(int argc, char** argv) {
     }
   }
   if (want_stats) {
-    if (threads > 1) {
-      std::printf("parallel: threads=%d winner=%d exported=%llu "
-                  "imported=%llu bounds_pub=%llu bounds_adopt=%llu\n",
-                  threads, winner,
-                  static_cast<unsigned long long>(sharing.clauses_exported),
-                  static_cast<unsigned long long>(sharing.clauses_imported),
-                  static_cast<unsigned long long>(sharing.bounds_published),
-                  static_cast<unsigned long long>(sharing.bounds_adopted));
-    }
     std::printf("effort: %s\n", res.stats.summary().c_str());
     std::printf("--- metrics ---\n%s", obs::render_metrics().c_str());
   }

@@ -9,7 +9,6 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "par/sharing.hpp"
 #include "sat/proof.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
@@ -23,20 +22,6 @@ void absorb_stats(OptimizeStats& stats, const AllocEncoder& enc) {
   stats.boolean_vars += enc.solver().num_vars();
   stats.boolean_literals += enc.solver().stats().added_literals;
   stats.pb_constraints += enc.pb().stats().constraints;
-  stats.clauses_exported += enc.solver().stats().clauses_exported;
-  stats.clauses_imported += enc.solver().stats().clauses_imported;
-}
-
-/// Apply the per-worker diversification knobs to a freshly built solver.
-/// Must run before build(): default_polarity seeds every new variable's
-/// initial phase at creation time.
-void apply_tuning(sat::Solver& solver, const SolverTuning& t) {
-  solver.var_decay = t.var_decay;
-  solver.restart_base = t.restart_base;
-  solver.default_polarity = t.default_polarity;
-  solver.phase_saving = t.phase_saving;
-  solver.random_branch_freq = t.random_branch_freq;
-  if (t.seed != 0) solver.set_random_seed(t.seed);
 }
 
 void apply_inprocess(sat::Solver& solver, const OptimizeOptions& options) {
@@ -100,17 +85,6 @@ std::string OptimizeStats::summary() const {
                 static_cast<unsigned long long>(conflicts),
                 static_cast<unsigned long long>(pb_constraints));
   std::string s = buf;
-  if (clauses_exported > 0 || clauses_imported > 0 || bounds_published > 0 ||
-      bounds_adopted > 0) {
-    std::snprintf(buf, sizeof buf,
-                  " share: exported=%llu imported=%llu bounds_pub=%llu "
-                  "bounds_adopt=%llu",
-                  static_cast<unsigned long long>(clauses_exported),
-                  static_cast<unsigned long long>(clauses_imported),
-                  static_cast<unsigned long long>(bounds_published),
-                  static_cast<unsigned long long>(bounds_adopted));
-    s += buf;
-  }
   if (models_certified > 0 || proofs_certified > 0) {
     std::snprintf(buf, sizeof buf,
                   " certify: models=%d proofs=%d lemmas=%llu (hinted=%llu "
@@ -187,73 +161,6 @@ OptimizeResult search(const Problem& problem, Objective objective,
       p.conflicts = conflicts_seen;
       options.on_progress(p);
     }
-  };
-
-  // --- Cooperative shared search (active only under options.share). -----
-  // Bound broadcasting: lower bounds this worker proves and incumbents it
-  // finds are published to the shared interval; foreign bounds are folded
-  // into the local search before each SOLVE step. Under proof logging the
-  // worker stops *consuming* foreign lower bounds (they have no derivation
-  // in its log) but keeps publishing, and still adopts foreign incumbents
-  // — those are re-validated independently by the final RT analysis.
-  par::SharedInterval* interval =
-      options.share != nullptr ? options.share->interval() : nullptr;
-  const bool proof_active = options.certify || options.proof != nullptr;
-
-  auto publish_lower_bound = [&](std::int64_t lo) {
-    if (interval != nullptr && interval->raise_lower(lo)) {
-      ++result.stats.bounds_published;
-    }
-  };
-  // Store the allocation first, then tighten the shared bound, so any
-  // worker observing the bound can fetch an allocation matching it.
-  auto announce_incumbent = [&](std::int64_t cost) {
-    if (!result.has_allocation) return;
-    if (options.publish_incumbent) {
-      options.publish_incumbent(cost, result.allocation);
-    }
-    if (interval != nullptr && interval->drop_upper(cost)) {
-      ++result.stats.bounds_published;
-    }
-  };
-  auto sync_shared_bounds = [&](std::int64_t& lower, std::int64_t& upper) {
-    if (interval == nullptr) return;
-    bool adopted = false;
-    if (!proof_active) {
-      const std::int64_t gl = interval->lower();
-      if (gl > lower) {
-        lower = gl;
-        ++result.stats.bounds_adopted;
-        adopted = true;
-      }
-    }
-    if (interval->upper() < upper && options.fetch_incumbent) {
-      if (auto inc = options.fetch_incumbent()) {
-        if (inc->first < upper) {
-          upper = inc->first;
-          result.cost = upper;
-          result.allocation = std::move(inc->second);
-          result.has_allocation = true;
-          ++result.stats.bounds_adopted;
-          adopted = true;
-        }
-      }
-    }
-    if (adopted && obs::trace_enabled()) {
-      obs::TraceEvent("bound_sync").num("lower", lower).num("upper", upper);
-    }
-  };
-  // The first SOLVE can be capped by a sibling's incumbent as well as the
-  // caller-provided one.
-  auto first_solve_cap = [&]() -> std::optional<std::int64_t> {
-    std::optional<std::int64_t> cap = options.initial_upper;
-    if (interval != nullptr) {
-      const std::int64_t gu = interval->upper();
-      if (gu != par::SharedInterval::kNoUpper && (!cap || gu < *cap)) {
-        cap = gu;
-      }
-    }
-    return cap;
   };
 
   // --- Certification (active only under options.certify). ---------------
@@ -338,7 +245,6 @@ OptimizeResult search(const Problem& problem, Objective objective,
     }
     owned = std::make_unique<AllocEncoder>(problem, objective, options.encoder);
     enc = owned.get();
-    if (options.tuning) apply_tuning(enc->solver(), *options.tuning);
     apply_inprocess(enc->solver(), options);
     if (proof != nullptr) enc->set_proof(proof);
     obs::Span span("encode");
@@ -374,15 +280,8 @@ OptimizeResult search(const Problem& problem, Objective objective,
     return result;
   };
 
-  if (given == nullptr) {
-    if (!build_encoder()) return finish(OptimizeResult::Status::kInfeasible);
-    // Clause exchange joins here: the variable count right after build()
-    // delimits the deterministic base encoding every sibling worker
-    // shares; later bound-guard variables are query-order-dependent and
-    // stay private.
-    if (!scratch && options.share != nullptr) {
-      options.share->attach(enc->solver(), enc->solver().num_vars());
-    }
+  if (given == nullptr && !build_encoder()) {
+    return finish(OptimizeResult::Status::kInfeasible);
   }
   const ir::Range range = enc->cost_range();
 
@@ -416,7 +315,6 @@ OptimizeResult search(const Problem& problem, Objective objective,
     result.cost = enc->decode_cost();
     result.allocation = enc->decode();
     result.has_allocation = true;
-    announce_incumbent(result.cost);
     return result.cost;
   };
 
@@ -437,13 +335,12 @@ OptimizeResult search(const Problem& problem, Objective objective,
       result.allocation = *options.warm_start;
       result.has_allocation = true;
       have_upper = true;
-      announce_incumbent(upper);
     }
   }
   if (!have_upper) {
     // A capped first SOLVE that answers UNSAT proves the optimum lies
     // above the cap; the search continues from there.
-    const std::optional<std::int64_t> cap = first_solve_cap();
+    const std::optional<std::int64_t> cap = options.initial_upper;
     sat::LBool verdict = probe({}, cap);
     if (verdict == sat::LBool::kFalse && cap) {
       lower = std::max(lower, *cap + 1);
@@ -472,8 +369,6 @@ OptimizeResult search(const Problem& problem, Objective objective,
       result.lower_bound = lower;
       return finish(OptimizeResult::Status::kBudgetExhausted);
     }
-    sync_shared_bounds(lower, upper);
-    if (lower >= upper) break;
     const std::int64_t mid =
         options.strategy == SearchStrategy::kBisection
             ? lower + (upper - lower) / 2
@@ -485,7 +380,6 @@ OptimizeResult search(const Problem& problem, Objective objective,
     }
     if (verdict == sat::LBool::kFalse) {
       lower = mid + 1;
-      publish_lower_bound(lower);
     } else {
       upper = adopt_model(lower, mid);
     }
@@ -495,7 +389,6 @@ OptimizeResult search(const Problem& problem, Objective objective,
   }
   result.cost = upper;
   result.lower_bound = upper;
-  publish_lower_bound(upper);
   return finish(OptimizeResult::Status::kOptimal);
 }
 

@@ -20,14 +20,9 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <utility>
 
 #include "alloc/encoder.hpp"
 #include "alloc/problem.hpp"
-
-namespace optalloc::par {
-class SharingClient;
-}  // namespace optalloc::par
 
 namespace optalloc::alloc {
 
@@ -52,19 +47,6 @@ struct Progress {
   bool has_incumbent = false;
   int sat_calls = 0;               ///< SOLVE calls issued so far
   std::uint64_t conflicts = 0;     ///< CDCL conflicts spent so far
-};
-
-/// Per-worker CDCL diversification knobs, applied to every solver the
-/// optimizer creates. The cooperative portfolio varies these across
-/// workers so that clause- and bound-sharing threads explore different
-/// parts of the search space instead of racing down the same path.
-struct SolverTuning {
-  double var_decay = 0.95;
-  int restart_base = 100;          ///< conflicts per Luby unit
-  bool default_polarity = false;   ///< initial branching polarity (sign)
-  bool phase_saving = true;
-  double random_branch_freq = 0.0; ///< probability of a random decision
-  std::uint64_t seed = 0;          ///< RNG seed; 0 keeps the default state
 };
 
 struct OptimizeOptions {
@@ -93,31 +75,15 @@ struct OptimizeOptions {
   /// callers can dump it for the standalone drat_check tool. Implies
   /// nothing about `certify`; both may be set independently.
   sat::ProofLog* proof = nullptr;
-  /// Cooperative cancellation (set by the portfolio runner).
+  /// Cooperative cancellation: the search returns budget-exhausted soon
+  /// after the flag is raised (the service scheduler sets it on cancel
+  /// and on shutdown).
   const std::atomic<bool>* stop = nullptr;
-  /// Solver diversification (see SolverTuning); absent = solver defaults.
-  std::optional<SolverTuning> tuning;
   /// Clause-database inprocessing at restart boundaries (subsumption,
   /// vivification, bounded variable elimination — see sat/inprocess.hpp).
   bool inprocess = true;
   /// Conflicts between inprocessing passes; 0 keeps the solver default.
   std::int64_t inprocess_interval = 0;
-  /// Cooperative parallel search handle (wired by the portfolio; see
-  /// src/par): clause exchange with sibling workers plus the shared cost
-  /// interval. Not owned. When a proof log is active (certify/proof),
-  /// clause import and foreign *lower*-bound adoption are disabled so the
-  /// certificate stays self-contained; exporting clauses, publishing
-  /// bounds, and adopting foreign *incumbents* remain on (an incumbent is
-  /// re-validated independently by the final RT analysis).
-  par::SharingClient* share = nullptr;
-  /// Incumbent exchange (portfolio-provided): `publish_incumbent` stores a
-  /// feasible (cost, allocation) this worker found into the shared store
-  /// — called *before* the shared upper bound is dropped, so any worker
-  /// observing the bound can fetch an allocation matching it;
-  /// `fetch_incumbent` returns the best global one.
-  std::function<void(std::int64_t, const rt::Allocation&)> publish_incumbent;
-  std::function<std::optional<std::pair<std::int64_t, rt::Allocation>>()>
-      fetch_incumbent;
   /// Anytime progress callback, invoked after the initial solution and
   /// after every interval-narrowing SOLVE call (from the optimizer's own
   /// thread). Used to plot cost-convergence curves; keep it cheap.
@@ -136,11 +102,6 @@ struct OptimizeStats {
   int sat_calls_unsat = 0;    ///< SOLVE calls answered UNSAT
   double encode_seconds = 0.0;  ///< building + bit-blasting constraints
   double solve_seconds = 0.0;   ///< inside sat::Solver::solve()
-  // Cooperative-search traffic (all zero unless OptimizeOptions::share).
-  std::uint64_t clauses_exported = 0;  ///< learnts pushed to the pool
-  std::uint64_t clauses_imported = 0;  ///< foreign learnts attached
-  std::uint64_t bounds_published = 0;  ///< interval tightenings we caused
-  std::uint64_t bounds_adopted = 0;    ///< foreign bounds folded in
   // Certification effort (all zero unless OptimizeOptions::certify).
   int models_certified = 0;   ///< SAT answers accepted by the model checker
   int proofs_certified = 0;   ///< proof checker passes (per log checked)
@@ -215,8 +176,8 @@ struct Encoding {
 };
 
 /// The same search over a caller's encoding, always incremental. The
-/// options' encoder-construction fields (encoder, incremental, tuning,
-/// inprocess*, proof, share) do not apply: the encoder already exists.
+/// options' encoder-construction fields (encoder, incremental,
+/// inprocess*, proof) do not apply: the encoder already exists.
 OptimizeResult optimize(const Problem& problem, Objective objective,
                         const OptimizeOptions& options,
                         const Encoding& encoding);

@@ -1,6 +1,6 @@
 #pragma once
 // Process-wide metrics registry with per-thread accumulation and
-// merge-on-read, so portfolio workers and the solver hot path can count
+// merge-on-read, so service workers and the solver hot path can count
 // without contending on shared cache lines:
 //
 //   * registration (name -> dense id) happens once per call site under a

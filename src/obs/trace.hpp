@@ -5,14 +5,14 @@
 //   "ts"   : seconds since the sink was opened (monotonic clock)
 //   "tid"  : small per-thread ordinal, stable for the thread's lifetime
 // — plus event-specific fields. Lines are written atomically under a
-// mutex, so portfolio workers never interleave.
+// mutex, so concurrent service workers never interleave.
 //
 // Request correlation: a thread-local SpanContext carries the current
 // request id ("req") and span id ("span"); when set, every event emitted
 // by that thread gains those fields automatically, so a whole request can
 // be reassembled from one interleaved JSONL file. The service scheduler
-// installs the context when a job is claimed (ContextScope) and hands it
-// explicitly to portfolio worker threads; RAII Span delimits phases
+// installs the context when a job is claimed (ContextScope), and a
+// session solve installs its session's context; RAII Span delimits phases
 // (encode, SOLVE steps, cache lookup) with span_begin/span_end events.
 //
 // Cost model: every producer site is guarded by `if (obs::trace_enabled())`
@@ -83,7 +83,7 @@ std::uint64_t next_span_id();
 
 /// RAII install of an explicit context on this thread (restores the
 /// previous one on destruction). Used to adopt a request's identity on a
-/// scheduler worker or a portfolio thread — the explicit hand-off that
+/// scheduler worker or a connection thread — the explicit hand-off that
 /// carries correlation across thread boundaries.
 class ContextScope {
  public:

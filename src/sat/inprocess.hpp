@@ -33,13 +33,13 @@
 //
 // Frozen variables (Solver::set_frozen) are never eliminated; they are
 // the contract with every component that holds variable references
-// across solves: theory propagators, assumption/bound guards, and the
-// clause-sharing export range. Freezing is an optimization, not a safety
-// requirement: an eliminated variable that reappears in a later
-// add_clause or assumption is transparently restored (Solver::restore_var
-// re-attaches the removed clauses — saved verbatim, their proof deletions
-// never logged — and drops the variable's reconstruction entries), so
-// incremental callers that froze nothing still get correct answers.
+// across solves: theory propagators and assumption/bound guards.
+// Freezing is an optimization, not a safety requirement: an eliminated
+// variable that reappears in a later add_clause or assumption is
+// transparently restored (Solver::restore_var re-attaches the removed
+// clauses — saved verbatim, their proof deletions never logged — and
+// drops the variable's reconstruction entries), so incremental callers
+// that froze nothing still get correct answers.
 
 #include <cstdint>
 #include <span>

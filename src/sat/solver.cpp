@@ -31,8 +31,6 @@ void flush_solve_metrics(const SolverStats& before, const SolverStats& after) {
   static const obs::Metric restarts = obs::counter("sat.restarts");
   static const obs::Metric theory = obs::counter("sat.theory_propagations");
   static const obs::Metric gc_runs = obs::counter("sat.gc_runs");
-  static const obs::Metric exported = obs::counter("sat.clauses_exported");
-  static const obs::Metric imported = obs::counter("sat.clauses_imported");
   static const obs::Metric t_prop = obs::timer("sat.time.propagate");
   static const obs::Metric t_analyze = obs::timer("sat.time.analyze");
   static const obs::Metric t_reduce = obs::timer("sat.time.reduce_db");
@@ -47,8 +45,6 @@ void flush_solve_metrics(const SolverStats& before, const SolverStats& after) {
   obs::add(theory,
            delta(after.theory_propagations, before.theory_propagations));
   obs::add(gc_runs, delta(after.gc_runs, before.gc_runs));
-  obs::add(exported, delta(after.clauses_exported, before.clauses_exported));
-  obs::add(imported, delta(after.clauses_imported, before.clauses_imported));
   if (after.propagate_seconds > before.propagate_seconds) {
     obs::record(t_prop, after.propagate_seconds - before.propagate_seconds);
   }
@@ -88,10 +84,7 @@ Var Solver::new_var(bool decision) {
   lbd_seen_.push_back(0);
   frozen_.push_back(0);
   eliminated_.push_back(0);
-  if (decision) {
-    decision_vars_.push_back(v);
-    order_.insert(v);
-  }
+  if (decision) order_.insert(v);
   for (Propagator* p : propagators_) p->on_new_var(v);
   return v;
 }
@@ -495,19 +488,6 @@ void Solver::analyze_final(Lit p) {
 }
 
 Lit Solver::pick_branch_lit() {
-  // Diversification: occasionally branch on a uniformly random unassigned
-  // variable instead of the VSIDS pick (probed, not exhaustive — falling
-  // through to the heap keeps this O(1) even on nearly-full trails).
-  if (random_branch_freq > 0.0 && !decision_vars_.empty() &&
-      rng_.chance(random_branch_freq)) {
-    for (int probe = 0; probe < 8; ++probe) {
-      const Var v = decision_vars_[rng_.index(decision_vars_.size())];
-      if (assigns_[v] == LBool::kUndef && decision_[v]) {
-        ++stats_.random_decisions;
-        return Lit(v, polarity_[v] != 0);
-      }
-    }
-  }
   while (!order_.empty()) {
     const Var v = order_.pop();
     if (assigns_[v] == LBool::kUndef && decision_[v]) {
@@ -515,65 +495,6 @@ Lit Solver::pick_branch_lit() {
     }
   }
   return kUndefLit;
-}
-
-void Solver::maybe_export(std::span<const Lit> lits, std::uint32_t lbd) {
-  if (lits.empty() || lits.size() > share_.max_export_size) return;
-  if (lits.size() > 2 && lbd > share_.max_export_lbd) return;
-  if (share_.export_var_limit >= 0) {
-    for (const Lit l : lits) {
-      if (l.var() >= share_.export_var_limit) return;
-    }
-  }
-  share_.export_clause(lits, lbd);
-  ++stats_.clauses_exported;
-}
-
-bool Solver::attach_imported(const SharedClause& sc) {
-  assert(decision_level() == 0);
-  import_scratch_.clear();
-  for (const Lit l : sc.lits) {
-    if (l.var() < 0 || l.var() >= num_vars()) return true;  // malformed: drop
-    // A foreign clause over a locally eliminated variable cannot be
-    // attached: the variable no longer exists here and re-introducing it
-    // would break model reconstruction. Sharing clients freeze the export
-    // range, so this only rejects clauses from outside it.
-    if (eliminated_[l.var()] != 0) return true;
-    if (value(l) == LBool::kTrue) return true;  // satisfied at level 0
-    if (value(l) != LBool::kFalse) import_scratch_.push_back(l);
-  }
-  ++stats_.clauses_imported;
-  if (import_scratch_.empty()) {
-    // Every literal is false at level 0: the shared formula is UNSAT.
-    ok_ = false;
-    return false;
-  }
-  if (import_scratch_.size() == 1) {
-    unchecked_enqueue(import_scratch_[0], kUndefClause);
-    ok_ = (propagate() == kUndefClause);
-    return ok_;
-  }
-  const CRef cref = arena_.alloc(import_scratch_, /*learnt=*/true);
-  Clause& c = arena_.deref(cref);
-  c.set_lbd(std::min<std::uint32_t>(
-      sc.lbd, static_cast<std::uint32_t>(import_scratch_.size())));
-  learnts_.push_back(cref);
-  attach_clause(cref);
-  return true;
-}
-
-bool Solver::import_shared() {
-  // Imports are suppressed under proof logging: a foreign clause has no
-  // RUP derivation in this solver's log, so attaching it would break the
-  // DRAT certificate (see ShareHooks docs; the portfolio degrades to
-  // bound-and-incumbent cooperation when certifying).
-  if (!share_.import_clauses || proof_ != nullptr || !ok_) return ok_;
-  import_buf_.clear();
-  share_.import_clauses(import_buf_);
-  for (const SharedClause& sc : import_buf_) {
-    if (!attach_imported(sc)) break;
-  }
-  return ok_;
 }
 
 void Solver::reduce_db() {
@@ -757,7 +678,6 @@ LBool Solver::search(std::int64_t conflicts_before_restart) {
       }
       const ProofId id =
           proof_ ? proof_->add_lemma(learnt_clause, hints_) : kNoProofId;
-      if (share_.export_clause) maybe_export(learnt_clause, lbd);
       if (learnt_clause.size() == 1) {
         unchecked_enqueue(learnt_clause[0], kUndefClause);
         if (proof_) set_unit_id(learnt_clause[0].var(), id);
@@ -946,14 +866,6 @@ LBool Solver::solve(std::span<const Lit> assumptions, Budget budget) {
 
   LBool status = LBool::kUndef;
   for (std::uint64_t restart = 0; status == LBool::kUndef; ++restart) {
-    // Restart boundary (decision level 0): drain the shared clause pool.
-    // An import may expose top-level unsatisfiability of the shared
-    // formula, which holds regardless of the assumptions.
-    if (!import_shared()) {
-      conflict_core_.clear();
-      status = LBool::kFalse;
-      break;
-    }
     // Inprocess when the conflict schedule says so (the first iteration of
     // the first solve acts as a preprocessing pass). A pass may derive
     // top-level UNSAT, which holds regardless of the assumptions.

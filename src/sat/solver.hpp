@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -19,7 +18,6 @@
 #include "sat/heap.hpp"
 #include "sat/proof.hpp"
 #include "sat/types.hpp"
-#include "util/rng.hpp"
 
 namespace optalloc::sat {
 
@@ -46,20 +44,13 @@ class Propagator {
 };
 
 /// Resource limits for a single solve() call. Zero means unlimited.
-/// `stop` is an optional cooperative-cancellation flag (used by the
-/// parallel portfolio optimizer): the solve returns kUndef soon after it
-/// becomes true.
+/// `stop` is an optional cooperative-cancellation flag (the service sets
+/// it to cancel a request or wind down on shutdown): the solve returns
+/// kUndef soon after it becomes true.
 struct Budget {
   std::int64_t conflicts = 0;
   double seconds = 0.0;
   const std::atomic<bool>* stop = nullptr;
-};
-
-/// One clause crossing solver boundaries through the sharing hooks (see
-/// src/par for the pool that carries them between portfolio workers).
-struct SharedClause {
-  std::vector<Lit> lits;
-  std::uint32_t lbd = 0;
 };
 
 struct SolverStats {
@@ -75,7 +66,6 @@ struct SolverStats {
   std::uint64_t removed_clauses = 0;
   std::uint64_t theory_propagations = 0;
   std::uint64_t gc_runs = 0;
-  std::uint64_t random_decisions = 0;
   /// Inprocessing (subsumption / self-subsuming resolution, vivification,
   /// bounded variable elimination; see sat/inprocess.hpp).
   std::uint64_t inprocess_passes = 0;
@@ -84,9 +74,6 @@ struct SolverStats {
   std::uint64_t eliminated_vars = 0;
   std::uint64_t restored_vars = 0;
   std::uint64_t inprocess_reclaimed_words = 0;
-  /// Clause-exchange traffic (cooperative portfolio only).
-  std::uint64_t clauses_exported = 0;
-  std::uint64_t clauses_imported = 0;
   /// Phase wall-times. Only accumulated while obs::phase_timing() is on
   /// (e.g. --stats); otherwise the search loop takes no clock readings.
   double propagate_seconds = 0.0;
@@ -162,10 +149,10 @@ class Solver {
 
   /// Freeze a variable: inprocessing may never eliminate it. Freezing is
   /// how external references are declared — theory-propagator terms,
-  /// clause-sharing export ranges, anything a later add_clause or
-  /// assumption might mention. Assumption variables are frozen
-  /// automatically (and permanently) at solve() entry; every other owner
-  /// must freeze before the first solve that could run a pass.
+  /// anything a later add_clause or assumption might mention.
+  /// Assumption variables are frozen automatically (and permanently) at
+  /// solve() entry; every other owner must freeze before the first solve
+  /// that could run a pass.
   void set_frozen(Var v, bool frozen = true) {
     frozen_[v] = static_cast<char>(frozen);
   }
@@ -214,32 +201,6 @@ class Solver {
   /// then report the reason clause as a conflict instead).
   bool theory_enqueue(Lit l, std::span<const Lit> reason);
 
-  // --- Cooperative clause exchange --------------------------------------
-
-  /// Hooks wiring this solver into a shared clause pool (see src/par).
-  /// `export_clause` fires at learn time for every clause passing the
-  /// filter: units and binaries always, larger clauses when LBD <=
-  /// max_export_lbd and size <= max_export_size, and — when
-  /// export_var_limit >= 0 — only clauses whose variables all lie below
-  /// the limit (the deterministic base encoding shared by every worker;
-  /// clauses over query-local bound-guard circuits stay private).
-  /// `import_clauses` is polled at restart boundaries (decision level 0)
-  /// and appends foreign clauses to its argument; imported clauses are
-  /// attached as learnts and are never re-exported (they are not learnt
-  /// here, so the export site never sees them).
-  ///
-  /// Certification: imports are suppressed while a proof log is attached —
-  /// a foreign clause has no RUP derivation in the local log, so importing
-  /// would invalidate the DRAT certificate. Exporting is always sound.
-  struct ShareHooks {
-    std::function<void(std::span<const Lit>, std::uint32_t lbd)> export_clause;
-    std::function<void(std::vector<SharedClause>&)> import_clauses;
-    std::uint32_t max_export_lbd = 4;
-    std::uint32_t max_export_size = 32;
-    std::int32_t export_var_limit = -1;  ///< -1 = no variable restriction
-  };
-  void set_share(ShareHooks hooks) { share_ = std::move(hooks); }
-
   // --- Certification ----------------------------------------------------
 
   /// Attach a proof log (not owned; nullptr detaches). Attach before adding
@@ -267,11 +228,6 @@ class Solver {
   double learnt_size_inc = 1.1;
   bool phase_saving = true;
   bool default_polarity = false;  ///< initial branching polarity (sign)
-  /// Probability of replacing a VSIDS decision with a uniformly random
-  /// unassigned variable — a portfolio diversifier. 0 = pure VSIDS.
-  double random_branch_freq = 0.0;
-  /// Seed for the random-branching RNG (per-worker diversification).
-  void set_random_seed(std::uint64_t seed) { rng_.reseed(seed); }
   /// Run the invariant auditor every N conflicts during search (0 = off);
   /// throws std::logic_error on the first violation. Debug/test facility.
   std::int64_t audit_period = 0;
@@ -345,11 +301,6 @@ class Solver {
   bool budget_exhausted() const;
   void emit_search_sample(bool final_sample);
 
-  // Clause exchange.
-  void maybe_export(std::span<const Lit> lits, std::uint32_t lbd);
-  bool import_shared();  ///< drain + attach foreign clauses; returns ok_
-  bool attach_imported(const SharedClause& sc);
-
   // Inprocessing (defined in inprocess.cpp).
   bool maybe_inprocess();  ///< run a pass when due; returns ok_
   void extend_model();     ///< replay elim_stack_ onto model_ after SAT
@@ -386,7 +337,6 @@ class Solver {
   VarOrderHeap order_;
   std::vector<char> polarity_;  ///< saved phase per variable
   std::vector<char> decision_;
-  std::vector<Var> decision_vars_;
 
   // Clause activity / learnt-DB sizing (MiniSat schedule: the cap grows
   // 10% every `adjust` conflicts, with `adjust` itself growing 1.5x).
@@ -431,14 +381,6 @@ class Solver {
 
   // Theory propagators.
   std::vector<Propagator*> propagators_;
-
-  // Clause exchange.
-  ShareHooks share_;
-  std::vector<SharedClause> import_buf_;
-  std::vector<Lit> import_scratch_;
-
-  // Random branching (diversification).
-  Rng rng_;
 
   // Certification. The hint state at the end of the class stays empty
   // while no log is attached.

@@ -1,8 +1,6 @@
 #include "svc/protocol.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <thread>
 #include <utility>
 
 #include "obs/flight.hpp"
@@ -45,7 +43,7 @@ bool read_budget(const obs::JsonValue& doc, Request& req) {
 }
 
 constexpr const char* kBadNumber =
-    "deadline_ms, conflicts and threads must be finite and in range";
+    "deadline_ms and conflicts must be finite and in range";
 
 }  // namespace
 
@@ -74,15 +72,13 @@ std::optional<Request> parse_request(const std::string& line,
     }
     req.problem_text = *problem;
     if (const auto obj = doc->get_string("objective")) req.objective = *obj;
-    std::optional<double> threads;
-    if (!read_budget(*doc, req) ||
-        !read_number(*doc, "threads", kMaxThreads, threads)) {
-      return fail(kBadNumber, "bad_request");
-    }
-    if (threads && *threads > 1) {
-      const int hardware =
-          static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-      req.threads = std::min(static_cast<int>(*threads), hardware);
+    if (!read_budget(*doc, req)) return fail(kBadNumber, "bad_request");
+    if (const auto threads = doc->get_number("threads");
+        threads && *threads != 1.0) {
+      return fail("threads must be 1: each request is solved on one "
+                  "thread; the service's worker count sets how many run in "
+                  "parallel",
+                  "bad_request");
     }
     req.wait = get_bool(*doc, "wait", false);
     return req;

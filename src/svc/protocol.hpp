@@ -49,16 +49,17 @@
 // {"ok":false,"error":m,"code":c} where `code` is a stable machine-
 // readable discriminator ("bad_json", "bad_request", "unknown_verb",
 // "unknown_id", "bad_problem", "queue_full", "unknown_session",
-// "bad_patch", "line_too_long") — clients branch on it
+// "too_many_sessions", "bad_patch", "line_too_long") — clients branch on it
 // without parsing prose. Unknown verbs in particular are answered (with
 // code "unknown_verb"), never silently dropped.
 // The problem text is the alloc::io file format embedded as one JSON
 // string (newlines escaped); the objective uses alloc::parse_objective
 // spec syntax. Anytime answers surface as state="done" with
 // "proven_optimal":false plus the incumbent cost and proven lower bound.
-// The numeric fields deadline_ms, conflicts and threads must be finite
-// and at most the limits below ("bad_request" otherwise); threads is then
-// clamped to the machine's hardware threads.
+// The numeric fields deadline_ms and conflicts must be finite and at most
+// the limits below ("bad_request" otherwise). A submit's optional
+// "threads" field must be 1: each request is solved single-threaded, and
+// the service runs requests in parallel on its worker pool.
 
 #include <cstddef>
 #include <optional>
@@ -71,16 +72,21 @@ namespace optalloc::svc {
 
 /// Largest accepted values of the numeric request fields. They keep
 /// every later conversion defined: deadlines become chrono durations,
-/// conflicts an int64, threads an int.
+/// conflicts an int64.
 constexpr double kMaxDeadlineMs = 1e9;         ///< about 11.6 days
 constexpr double kMaxConflicts = 1e15;         ///< per SOLVE call
-constexpr double kMaxThreads = 2147483647.0;   ///< INT_MAX, before clamping
 
 /// Longest request line a connection may send, in bytes (the newline not
 /// counted). Far above any real request — a problem text is a few KiB —
 /// it bounds what one client can make the server buffer. A longer line
 /// gets a "line_too_long" error and the connection is closed.
 constexpr std::size_t kMaxLineBytes = std::size_t{4} << 20;
+
+/// Most sessions the service keeps open at once. Each holds a live solver
+/// and encoding, so the cap bounds what clients can make the server keep.
+/// An open past it gets a "too_many_sessions" error; closing a session
+/// frees its slot.
+constexpr std::size_t kMaxSessions = 256;
 
 struct Request {
   enum class Verb {
@@ -104,7 +110,6 @@ struct Request {
   std::string objective = "sum-trt";
   double deadline_ms = 0.0;
   std::int64_t conflicts = 0;
-  int threads = 1;
   bool wait = false;         ///< submit: block until terminal
   bool drain = true;         ///< shutdown: finish queued work first
   std::string session;       ///< revise/session_close: session id

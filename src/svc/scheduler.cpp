@@ -8,7 +8,6 @@
 
 #include "alloc/cost.hpp"
 #include "alloc/optimizer.hpp"
-#include "alloc/portfolio.hpp"
 #include "obs/json.hpp"
 #include "heur/annealing.hpp"
 #include "obs/flight.hpp"
@@ -16,6 +15,7 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "rt/verify.hpp"
+#include "svc/protocol.hpp"
 
 namespace optalloc::svc {
 
@@ -377,13 +377,17 @@ std::optional<JobSnapshot> Scheduler::wait(const std::string& id,
 }
 
 std::optional<std::pair<std::string, SessionAnswer>> Scheduler::session_open(
-    JobRequest request) {
+    JobRequest request, bool* full) {
   auto entry = std::make_shared<SessionEntry>();
   entry->objective = request.objective;
   entry->ctx.req = obs::next_span_id();
   {
     util::MutexLock lock(mu_);
     if (!accepting_) return std::nullopt;
+    if (sessions_.size() >= kMaxSessions) {
+      if (full != nullptr) *full = true;
+      return std::nullopt;
+    }
     entry->id = "s" + std::to_string(++next_session_id_);
     sessions_.emplace(entry->id, entry);
     ++counters_.sessions_opened;
@@ -662,8 +666,7 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
   opts.inprocess = options_.inprocess;
   opts.inprocess_interval = options_.inprocess_interval;
   // Feed the inspect verb: every optimizer progress report lands in the
-  // job's relaxed atomics (portfolio workers share them; last writer
-  // wins, which is fine — the interval only tightens).
+  // job's relaxed atomics.
   {
     Job* j = job.get();
     opts.on_progress = [j](const alloc::Progress& p) {
@@ -690,23 +693,8 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
   job->phase.store(static_cast<int>(JobPhase::kSolving),
                    std::memory_order_relaxed);
   const auto solve_start = Clock::now();
-  alloc::OptimizeResult result;
-  if (job->request.threads > 1) {
-    alloc::PortfolioOptions popts;
-    popts.threads = job->request.threads;
-    popts.base_config = opts;
-    popts.time_limit_s = opts.time_limit_s;
-    popts.external_stop = &job->stop;
-    alloc::PortfolioResult pr = optimize_portfolio(
-        job->canon.problem, job->canon.objective, popts);
-    result = std::move(pr.best);
-    result.stats.sat_calls = 0;
-    for (const alloc::OptimizeStats& s : pr.per_config_stats) {
-      result.stats.sat_calls += s.sat_calls;
-    }
-  } else {
-    result = alloc::optimize(job->canon.problem, job->canon.objective, opts);
-  }
+  const alloc::OptimizeResult result =
+      alloc::optimize(job->canon.problem, job->canon.objective, opts);
   answer.solve_seconds = seconds_since(solve_start);
   obs::record(metrics().solve_time, answer.solve_seconds);
 

@@ -8,9 +8,9 @@
 //   and otherwise enqueues it — or rejects it when the queue is full (the
 //   bound is the backpressure mechanism; callers surface "queue full").
 //   A worker picks the job up, runs a short simulated-annealing pass for a
-//   warm-start incumbent, then dispatches to alloc::optimize (or the
-//   cooperative portfolio for threads > 1) with the request's remaining
-//   wall-clock deadline and per-SOLVE conflict budget.
+//   warm-start incumbent, then runs alloc::optimize with the request's
+//   remaining wall-clock deadline and per-SOLVE conflict budget. Each
+//   request is solved on one worker; parallelism is across requests.
 //
 // Anytime contract: a request with a deadline ALWAYS gets an answer by
 // that deadline — the proven optimum if the search finished, otherwise
@@ -66,7 +66,6 @@ struct JobRequest {
   alloc::Objective objective;
   double deadline_s = 0.0;          ///< answer-by budget from submission; 0 = none
   std::int64_t conflict_budget = 0; ///< per-SOLVE conflict cap (0 = unlimited)
-  int threads = 1;                  ///< >1 = cooperative portfolio
 };
 
 enum class JobState { kQueued, kRunning, kDone, kCancelled };
@@ -217,10 +216,11 @@ class Scheduler {
   // contend.
 
   /// Open a session on `request.problem` and solve it. Returns the
-  /// session id + the initial answer, or nullopt when shutting down.
-  /// (JobRequest::threads is ignored: sessions are single-solver.)
+  /// session id + the initial answer, or nullopt when refused: while
+  /// shutting down, or when kMaxSessions (svc/protocol.hpp) are already
+  /// open — `*full` is set true in that second case.
   std::optional<std::pair<std::string, SessionAnswer>> session_open(
-      JobRequest request);
+      JobRequest request, bool* full = nullptr);
 
   /// Apply a patch to a session's instance and re-solve incrementally.
   /// Nullopt for unknown session ids; a patch that fails validation

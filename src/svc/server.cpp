@@ -200,7 +200,6 @@ std::string Server::handle_line(const std::string& line) {
       }
       job.deadline_s = req->deadline_ms / 1000.0;
       job.conflict_budget = req->conflicts;
-      job.threads = req->threads;
       const auto id = scheduler_.submit(std::move(job));
       if (!id) return error_line("queue full or shutting down", "queue_full");
       if (!req->wait) return submit_ack_line(*id);
@@ -274,7 +273,14 @@ std::string Server::handle_line(const std::string& line) {
       }
       job.deadline_s = req->deadline_ms / 1000.0;
       job.conflict_budget = req->conflicts;
-      const auto opened = scheduler_.session_open(std::move(job));
+      bool full = false;
+      const auto opened = scheduler_.session_open(std::move(job), &full);
+      if (full) {
+        return error_line("session limit reached: " +
+                              std::to_string(kMaxSessions) +
+                              " sessions open; close one first",
+                          "too_many_sessions");
+      }
       if (!opened) return error_line("shutting down", "queue_full");
       return session_line(opened->first, opened->second);
     }

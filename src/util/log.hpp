@@ -4,8 +4,8 @@
 //
 // Thread-safe: the level is atomic and each message is formatted into a
 // line buffer, then written to stderr in one call under a mutex with a
-// thread tag ("[optalloc t2]"), so parallel portfolio workers can log
-// without interleaving. The tag ordinal matches the "tid" field of the
+// thread tag ("[optalloc t2]"), so service workers can log without
+// interleaving. The tag ordinal matches the "tid" field of the
 // structured trace (obs::thread_ordinal).
 
 #include <cstdarg>

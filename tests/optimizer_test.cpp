@@ -1,8 +1,11 @@
 // Optimizer-level tests: agreement of all search strategies, backends and
 // modes on the same optimum; the max-utilization objective; task release
-// jitter end-to-end; warm-start semantics; anytime/budget behavior.
+// jitter end-to-end; warm-start semantics; anytime/budget behavior and
+// cooperative cancellation.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
 
 #include "alloc/cost.hpp"
 #include "alloc/optimizer.hpp"
@@ -265,6 +268,17 @@ TEST(Budget, WarmStartGivesAnytimeAnswerUnderTinyBudget) {
   EXPECT_EQ(res.status, OptimizeResult::Status::kBudgetExhausted);
   ASSERT_TRUE(res.has_allocation);  // the SA seed is the anytime answer
   EXPECT_EQ(res.cost, sa.cost);
+}
+
+TEST(Portfolio, StopFlagCancelsOptimizer) {
+  // A pre-set stop flag must make a single optimize() return promptly
+  // with budget-exhausted (anytime semantics).
+  std::atomic<bool> stop{true};
+  OptimizeOptions opts;
+  opts.stop = &stop;
+  const Problem p = workload::tindell_prefix(20);
+  const OptimizeResult res = optimize(p, Objective::ring_trt(0), opts);
+  EXPECT_EQ(res.status, OptimizeResult::Status::kBudgetExhausted);
 }
 
 TEST(ObjectiveApi, DescribeStrings) {

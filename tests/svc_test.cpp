@@ -657,7 +657,7 @@ TEST(Protocol, ParsesRequestsAndRejectsGarbage) {
   std::string error;
   const auto submit = parse_request(
       R"({"verb":"submit","problem":"system 1","objective":"feasibility",)"
-      R"("deadline_ms":250,"conflicts":5000,"threads":2,"wait":true})",
+      R"("deadline_ms":250,"conflicts":5000,"threads":1,"wait":true})",
       &error);
   ASSERT_TRUE(submit.has_value()) << error;
   EXPECT_EQ(submit->verb, Request::Verb::kSubmit);
@@ -665,15 +665,19 @@ TEST(Protocol, ParsesRequestsAndRejectsGarbage) {
   EXPECT_EQ(submit->objective, "feasibility");
   EXPECT_DOUBLE_EQ(submit->deadline_ms, 250.0);
   EXPECT_EQ(submit->conflicts, 5000);
-  // threads is clamped to the hardware threads; parsing starts none.
-  const int hardware =
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  EXPECT_EQ(submit->threads, std::min(2, hardware));
   EXPECT_TRUE(submit->wait);
-  const auto many = parse_request(
-      R"({"verb":"submit","problem":"system 1","threads":1000000})", &error);
-  ASSERT_TRUE(many.has_value()) << error;
-  EXPECT_EQ(many->threads, hardware);
+  // Each request is solved single-threaded: "threads":1 is accepted (and
+  // changes nothing), any other count is a bad request.
+  for (const char* threads : {"2", "1000000", "0"}) {
+    std::string code;
+    EXPECT_FALSE(parse_request(std::string(R"({"verb":"submit",)") +
+                                   R"("problem":"system 1","threads":)" +
+                                   threads + "}",
+                               &error, &code)
+                     .has_value())
+        << threads;
+    EXPECT_EQ(code, "bad_request") << threads;
+  }
 
   const auto cancel =
       parse_request(R"({"verb":"cancel","id":"r7"})", &error);
@@ -793,17 +797,21 @@ TEST(Protocol, RejectsNonFiniteAndOutOfRangeNumbers) {
                    .has_value());
   EXPECT_EQ(code, "bad_request");
 
-  // In range: accepted, and threads clamped to the hardware threads.
+  // A finite thread count other than 1 is rejected too.
+  EXPECT_FALSE(parse_request(R"({"verb":"submit",)" + problem +
+                                 R"(,"threads":1e6})",
+                             &error, &code)
+                   .has_value());
+  EXPECT_EQ(code, "bad_request");
+
+  // In range: accepted.
   const auto ok = parse_request(
       R"({"verb":"submit",)" + problem +
-          R"(,"deadline_ms":1e9,"conflicts":1e15,"threads":1e6})",
+          R"(,"deadline_ms":1e9,"conflicts":1e15,"threads":1})",
       &error, &code);
   ASSERT_TRUE(ok.has_value()) << error;
   EXPECT_DOUBLE_EQ(ok->deadline_ms, kMaxDeadlineMs);
   EXPECT_EQ(ok->conflicts, static_cast<std::int64_t>(kMaxConflicts));
-  EXPECT_GE(ok->threads, 1);
-  EXPECT_LE(ok->threads, static_cast<int>(std::max(
-                             1u, std::thread::hardware_concurrency())));
 }
 
 TEST(ResultCache, AdmissionRejectsAnAnswerWhoseCostIsWrong) {
@@ -1042,6 +1050,41 @@ TEST(Server, SessionVerbsLifecycle) {
   const auto closed_again = obs::json_parse(server.handle_line(
       R"({"verb":"session_close","session":")" + *sid + R"("})"));
   EXPECT_EQ(closed_again->get_string("code"), "unknown_session");
+}
+
+TEST(Server, SessionOpenPastTheCapIsRefused) {
+  ServerOptions options;
+  options.scheduler = quick_options(1);
+  Server server(options);
+  const std::string open_line = obs::JsonObject()
+                                    .str("verb", "session_open")
+                                    .str("problem", kSystem)
+                                    .str("objective", "sum-trt")
+                                    .build();
+  std::string last_id;
+  for (std::size_t i = 0; i < kMaxSessions; ++i) {
+    const auto opened = obs::json_parse(server.handle_line(open_line));
+    ASSERT_TRUE(opened.has_value());
+    ASSERT_TRUE(opened->get("ok")->b) << "session " << i;
+    last_id = *opened->get_string("session");
+  }
+
+  // One past the cap: refused with its own code, not shutdown's.
+  const auto refused = obs::json_parse(server.handle_line(open_line));
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_FALSE(refused->get("ok")->b);
+  EXPECT_EQ(refused->get_string("code"), "too_many_sessions");
+  EXPECT_EQ(server.scheduler().stats().active_sessions, kMaxSessions);
+
+  // Closing one frees its slot.
+  const auto closed = obs::json_parse(server.handle_line(
+      R"({"verb":"session_close","session":")" + last_id + R"("})"));
+  ASSERT_TRUE(closed.has_value());
+  EXPECT_TRUE(closed->get("ok")->b);
+  const auto reopened = obs::json_parse(server.handle_line(open_line));
+  ASSERT_TRUE(reopened.has_value());
+  EXPECT_TRUE(reopened->get("ok")->b);
+  EXPECT_EQ(reopened->get_string("status"), "optimal");
 }
 
 TEST(Server, InspectAndDumpVerbs) {

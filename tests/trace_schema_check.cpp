@@ -31,9 +31,6 @@ const std::map<std::string, std::vector<const char*>>& required_fields() {
       {"solve", {"call", "result", "conflicts", "seconds"}},
       {"interval", {"lower", "upper", "sat_calls"}},
       {"optimum", {"status", "lower", "sat_calls", "seconds"}},
-      // Portfolio bound propagation: a worker adopting the shared
-      // interval (src/alloc/portfolio).
-      {"bound_sync", {"lower", "upper"}},
       // Certification checkpoints (model / proof / allocation re-checks);
       // "error" and proof-lemma counts are conditional, "kind"/"ok" are not.
       {"certify", {"kind", "ok"}},
@@ -56,10 +53,6 @@ const std::map<std::string, std::vector<const char*>>& required_fields() {
       {"inprocess_pass",
        {"subsumed", "strengthened", "eliminated", "reclaimed_words",
         "seconds"}},
-      {"portfolio_start", {"worker", "strategy", "backend"}},
-      {"portfolio_finish", {"worker", "status"}},
-      {"portfolio_cancel", {"worker"}},
-      {"portfolio_win", {"winner", "status"}},
       {"anneal", {"feasible", "iterations", "accepted", "seconds"}},
       // Allocation service (alloc_serve) request lifecycle.
       {"request_received", {"id", "objective"}},
@@ -92,10 +85,8 @@ const std::map<std::string, std::vector<const char*>>& required_fields() {
 /// them is emitted on behalf of some request and must carry "req".
 bool solver_side(const std::string& type) {
   static const std::set<std::string> kTypes = {
-      "solve",          "interval",       "optimum",       "solver_restart",
-      "solver_gc",      "inprocess_pass", "bound_sync",    "portfolio_start",
-      "portfolio_finish", "portfolio_cancel", "portfolio_win",
-      "search_sample",  "perf_counters"};
+      "solve",     "interval",       "optimum",       "solver_restart",
+      "solver_gc", "inprocess_pass", "search_sample", "perf_counters"};
   return kTypes.count(type) > 0;
 }
 
@@ -317,26 +308,16 @@ int main(int argc, char** argv) {
     }
     return ok ? 0 : 1;
   }
-  // An optimizer run must have produced solves and a verdict: exactly one
-  // "optimum" per optimize() call — a portfolio race has one per worker
-  // plus a single "portfolio_win".
+  // An optimizer run must have produced solves and exactly one verdict.
   if (census["solve"] < 1) {
     std::fprintf(stderr, "trace_schema_check: no \"solve\" events\n");
     ok = false;
   }
-  const int workers = census["portfolio_start"];
-  if (workers == 0 ? census["optimum"] != 1
-                   : census["optimum"] < 1 || census["optimum"] > workers) {
+  if (census["optimum"] != 1) {
     std::fprintf(stderr,
-                 "trace_schema_check: saw %d \"optimum\" events for %d "
-                 "optimizer runs\n",
-                 census["optimum"], workers == 0 ? 1 : workers);
-    ok = false;
-  }
-  if (workers > 0 && census["portfolio_win"] != 1) {
-    std::fprintf(stderr,
-                 "trace_schema_check: portfolio trace without exactly one "
-                 "\"portfolio_win\"\n");
+                 "trace_schema_check: saw %d \"optimum\" events for one "
+                 "optimizer run\n",
+                 census["optimum"]);
     ok = false;
   }
   return ok ? 0 : 1;

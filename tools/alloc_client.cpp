@@ -3,8 +3,7 @@
 //   alloc_client --socket PATH [--retry N] VERB ...
 //   alloc_client --tcp HOST PORT [--retry N] VERB ...
 //
-//   submit FILE [OBJECTIVE] [--deadline MS] [--conflicts N]
-//          [--threads N] [--wait]
+//   submit FILE [OBJECTIVE] [--deadline MS] [--conflicts N] [--wait]
 //   status ID | result ID | cancel ID | inspect ID
 //   dump [ID]                     # flight-recorder events
 //   stats | metrics [--prom]
@@ -37,9 +36,9 @@
 // attempts were exhausted); 2 usage; 3 server-reported error — an
 // {"ok":false,...} answer with its machine-readable "code" (unknown
 // verb, unknown id, unknown session, bad problem, bad patch, queue
-// full); 4 terminal answer that is feasible but not proven optimal (the
-// anytime deadline answer — or a session answer interrupted by its
-// budget).
+// full, too many sessions); 4 terminal answer that is feasible but not
+// proven optimal (the anytime deadline answer — or a session answer
+// interrupted by its budget).
 
 #include <cstdlib>
 #include <fstream>
@@ -57,8 +56,8 @@ int usage() {
   std::cerr
       << "usage: alloc_client (--socket PATH | --tcp HOST PORT)"
          " [--retry N] VERB ...\n"
-      << "  submit FILE [OBJECTIVE] [--deadline MS] [--conflicts N]\n"
-      << "         [--threads N] [--wait]\n"
+      << "  submit FILE [OBJECTIVE] [--deadline MS] [--conflicts N]"
+         " [--wait]\n"
       << "  status ID | result ID | cancel ID | inspect ID | stats\n"
       << "  session-open FILE [OBJECTIVE] [--deadline MS] [--conflicts N]\n"
       << "  revise SESSION EDITS_JSON|@FILE\n"
@@ -139,7 +138,6 @@ int main(int argc, char** argv) {
     std::string objective = "sum-trt";
     double deadline_ms = 0.0;
     long conflicts = 0;
-    int threads = 1;
     bool wait = false;
     while (const char* a = next()) {
       const std::string s = a;
@@ -151,10 +149,6 @@ int main(int argc, char** argv) {
         const char* v = next();
         if (v == nullptr) return usage();
         conflicts = std::atol(v);
-      } else if (s == "--threads") {
-        const char* v = next();
-        if (v == nullptr) return usage();
-        threads = std::atoi(v);
       } else if (s == "--wait") {
         wait = true;
       } else if (!s.empty() && s[0] != '-') {
@@ -185,7 +179,6 @@ int main(int argc, char** argv) {
     if (conflicts > 0) {
       request.num("conflicts", static_cast<std::int64_t>(conflicts));
     }
-    if (threads > 1) request.num("threads", static_cast<std::int64_t>(threads));
     if (wait) request.boolean("wait", true);
   } else if (verb == "session-open") {
     const char* file = next();

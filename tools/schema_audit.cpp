@@ -318,10 +318,8 @@ bool parse_rule_table(const fs::path& path, std::set<std::string>& kinds) {
 }
 
 /// Pull the documented kinds out of README.md's event table: the
-/// backticked tokens in the first cell of each `| \`...\` |` row.
-/// Slash shorthand expands with the first token's prefix:
-/// `portfolio_start/finish/cancel/win` -> portfolio_{start,finish,...};
-/// `span_begin` / `span_end` is two separate backticked tokens.
+/// backticked tokens in the first cell of each `| \`...\` |` row
+/// (`span_begin` / `span_end` is two separate backticked tokens).
 bool parse_readme_table(const fs::path& path, std::set<std::string>& kinds) {
   std::string raw;
   if (!read_file(path, raw)) {
@@ -355,22 +353,7 @@ bool parse_readme_table(const fs::path& path, std::set<std::string>& kinds) {
       if (q == std::string::npos) break;
       const std::string tok = cell.substr(p + 1, q - p - 1);
       p = q + 1;
-      // Expand `a_b/c/d` using a_'s prefix.
-      std::vector<std::string> parts;
-      std::size_t s = 0, slash;
-      while ((slash = tok.find('/', s)) != std::string::npos) {
-        parts.push_back(tok.substr(s, slash - s));
-        s = slash + 1;
-      }
-      parts.push_back(tok.substr(s));
-      if (!kind_like(parts[0])) continue;
-      kinds.insert(parts[0]);
-      const std::size_t us = parts[0].rfind('_');
-      const std::string prefix =
-          us == std::string::npos ? "" : parts[0].substr(0, us + 1);
-      for (std::size_t k = 1; k < parts.size(); ++k) {
-        if (kind_like(parts[k])) kinds.insert(prefix + parts[k]);
-      }
+      if (kind_like(tok)) kinds.insert(tok);
     }
   }
   if (kinds.empty()) {
