@@ -120,6 +120,8 @@ class ClauseArena {
 
   std::size_t size() const { return mem_.size(); }
   std::size_t wasted() const { return wasted_; }
+  /// Make room for `words` words in total without reallocating.
+  void reserve(std::size_t words) { mem_.reserve(words); }
 
   /// Move a live clause into `to`, leaving a forwarding pointer behind.
   /// Returns the new reference; idempotent for already-moved clauses.

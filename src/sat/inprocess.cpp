@@ -1,7 +1,9 @@
 #include "sat/inprocess.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -40,29 +42,112 @@ bool Inprocessor::run() {
   return alive && s_.ok_;
 }
 
-std::uint64_t Inprocessor::signature(const Clause& c) const {
-  std::uint64_t sig = 0;
-  for (const Lit l : c.lits()) {
-    sig |= std::uint64_t{1} << (static_cast<std::uint32_t>(l.var()) & 63u);
-  }
-  return sig;
+namespace {
+
+/// Literal signatures: bit (index & 63) per literal. A literal and its
+/// negation (indices 2k and 2k + 1) sit on adjacent bits.
+std::uint64_t lit_bit(Lit l) {
+  return std::uint64_t{1} << (static_cast<std::uint32_t>(l.index()) & 63u);
 }
 
-bool Inprocessor::clause_satisfied(const Clause& c) const {
-  for (const Lit l : c.lits()) {
-    if (s_.value(l) == LBool::kTrue) return true;
+constexpr std::uint64_t kEvenBits = 0x5555555555555555u;
+
+/// The variable classes (var & 31) of a literal signature, on even bits.
+std::uint64_t var_classes(std::uint64_t sig) {
+  return (sig | (sig >> 1)) & kEvenBits;
+}
+
+/// Signature test for C subsuming or strengthening D: subsumption needs
+/// every literal of C in D, so no bit of C is missing from D;
+/// strengthening needs all but one literal l, with ~l in D, so at most
+/// l's bit is missing and D has the bit of ~l.
+bool may_subsume(std::uint64_t c, std::uint64_t d) {
+  const std::uint64_t missing = c & ~d;
+  if (missing == 0) return true;
+  if ((missing & (missing - 1)) != 0) return false;
+  const std::uint64_t negated =
+      ((missing & kEvenBits) << 1) | ((missing >> 1) & kEvenBits);
+  return (d & negated) != 0;
+}
+
+}  // namespace
+
+Inprocessor::Occ Inprocessor::occ_entry(std::uint32_t idx, std::uint32_t size,
+                                        Lit l, std::uint64_t others) {
+  return {idx, size << 1 | (l.sign() ? 1u : 0u), others};
+}
+
+// Calls f(l, sig) for each literal l of `lits`, sig being the signature of
+// the other literals. A bit two literals share stays set for both.
+template <class F>
+void Inprocessor::for_each_literal_sig(std::span<const Lit> lits, F&& f) {
+  std::uint64_t all = 0;
+  std::uint64_t shared = 0;
+  for (const Lit l : lits) {
+    shared |= all & lit_bit(l);
+    all |= lit_bit(l);
+  }
+  for (const Lit l : lits) f(l, all & ~(lit_bit(l) & ~shared));
+}
+
+bool Inprocessor::locked(std::uint32_t idx) const {
+  // A reason is satisfied by the literal it implies.
+  return clause_satisfied(idx) && s_.locked(infos_[idx].cref);
+}
+
+bool Inprocessor::still_contains(const Occ& o, Var v) const {
+  if ((flags_[o.idx] & kRewritten) == 0) return true;
+  for (const Lit l : s_.arena_.deref(infos_[o.idx].cref).lits()) {
+    if (l.var() == v) return true;
   }
   return false;
+}
+
+template <class F>
+void Inprocessor::for_each_occurrence(Var v, F&& f) {
+  const auto sv = static_cast<std::size_t>(v);
+  const Occ* slice = occ_.get() + occ_begin_[sv];
+  for (std::uint32_t i = 0; i < occ_size_[sv]; ++i) f(slice[i]);
+  if (occ_last_[sv] == kNone) return;
+  // The chain runs newest first; visit it in registration order.
+  chain_.clear();
+  for (std::uint32_t i = occ_last_[sv]; i != kNone; i = added_prev_[i]) {
+    chain_.push_back(i);
+  }
+  for (auto it = chain_.rbegin(); it != chain_.rend(); ++it) f(added_[*it]);
+}
+
+// Registered clauses start unsatisfied (build_occurrences() keeps the
+// satisfied ones out, resolvents have no level-0 literal), so a clause is
+// satisfied exactly when a literal it still holds was made true at level 0
+// during the pass. Each such literal flags its clauses once, here, right
+// after the propagation that assigned it.
+void Inprocessor::mark_satisfied() {
+  for (; marked_ < s_.trail_.size(); ++marked_) {
+    const Lit t = s_.trail_[marked_];
+    for_each_occurrence(t.var(), [&](const Occ& o) {
+      if (((o.size_sign & 1u) != 0) == t.sign() && alive(o.idx) &&
+          still_contains(o, t.var())) {
+        flags_[o.idx] |= kSatisfied;
+      }
+    });
+  }
 }
 
 bool Inprocessor::abort_requested() const { return s_.budget_exhausted(); }
 
 void Inprocessor::build_occurrences() {
   const std::size_t nvars = static_cast<std::size_t>(s_.num_vars());
-  occ_.assign(nvars, {});
   lit_stamp_.assign(2 * nvars, 0);
   stamp_ = 0;
+  // Count each variable's occurrences into its slice's room...
+  occ_begin_.resize(nvars);
+  occ_size_.assign(nvars, 0);
+  occ_last_.assign(nvars, kNone);
   infos_.clear();
+  flags_.clear();
+  infos_.reserve(s_.clauses_.size() + s_.learnts_.size());
+  flags_.reserve(infos_.capacity());
   kept_clauses_.clear();
   kept_learnts_.clear();
   auto scan = [&](const std::vector<CRef>& list, bool learnt) {
@@ -70,51 +155,80 @@ void Inprocessor::build_occurrences() {
       const Clause& c = s_.arena_.deref(cref);
       // Satisfied clauses left by simplify() are locked reasons; theory
       // reasons are ephemeral. Both sit out the pass untouched.
-      if (c.theory() || clause_satisfied(c)) {
+      bool keep = c.theory();
+      for (const Lit l : c.lits()) keep = keep || s_.value(l) == LBool::kTrue;
+      if (keep) {
         (learnt ? kept_learnts_ : kept_clauses_).push_back(cref);
         continue;
       }
-      register_clause(cref, learnt);
+      for (const Lit l : c.lits()) {
+        ++occ_size_[static_cast<std::size_t>(l.var())];
+      }
+      infos_.push_back({cref, c.size()});
+      flags_.push_back(
+          static_cast<std::uint8_t>(learnt ? kAlive | kLearnt : kAlive));
     }
   };
   scan(s_.clauses_, /*learnt=*/false);
   scan(s_.learnts_, /*learnt=*/true);
-}
-
-void Inprocessor::register_clause(CRef cref, bool learnt) {
-  const Clause& c = s_.arena_.deref(cref);
-  const auto idx = static_cast<std::uint32_t>(infos_.size());
-  infos_.push_back({cref, signature(c), c.size(), learnt, true, false});
-  for (const Lit l : c.lits()) {
-    occ_[static_cast<std::size_t>(l.var())].push_back(idx);
+  // ...lay the slices out back to back, and fill them in clause order.
+  std::uint32_t at = 0;
+  for (std::size_t v = 0; v < nvars; ++v) {
+    occ_begin_[v] = at;
+    at += occ_size_[v];
+    occ_size_[v] = 0;
   }
+  occ_ = std::make_unique_for_overwrite<Occ[]>(at);  // every slot is filled
+  added_.clear();
+  added_prev_.clear();
+  // Untouched capacity costs no memory; resolvents rarely outgrow it.
+  added_.reserve(at);
+  added_prev_.reserve(at);
+  for (std::uint32_t idx = 0; idx < infos_.size(); ++idx) {
+    for_each_literal_sig(s_.arena_.deref(infos_[idx].cref).lits(),
+                         [&](Lit l, std::uint64_t others) {
+      const auto v = static_cast<std::size_t>(l.var());
+      occ_[occ_begin_[v] + occ_size_[v]++] =
+          occ_entry(idx, infos_[idx].size, l, others);
+    });
+  }
+  marked_ = s_.trail_.size();
 }
 
-bool Inprocessor::remove_info(std::uint32_t idx, bool log_delete) {
-  ClsInfo& info = infos_[idx];
-  if (!info.alive) return true;
-  if (s_.locked(info.cref)) return true;  // reasons must stay alive
-  info.alive = false;
-  s_.remove_clause(info.cref, log_delete);  // detaches, frees
-  return true;
+void Inprocessor::register_resolvent(CRef cref, std::span<const Lit> lits) {
+  const auto idx = static_cast<std::uint32_t>(infos_.size());
+  const auto size = static_cast<std::uint32_t>(lits.size());
+  infos_.push_back({cref, size});
+  flags_.push_back(kAlive);
+  for_each_literal_sig(lits, [&](Lit l, std::uint64_t others) {
+    std::uint32_t& last = occ_last_[static_cast<std::size_t>(l.var())];
+    added_prev_.push_back(last);
+    last = static_cast<std::uint32_t>(added_.size());
+    added_.push_back(occ_entry(idx, size, l, others));
+  });
 }
 
-// Rewrite the clause behind `idx` to `new_lits` (a strict subset of its
-// literals), logging the strengthened clause as a lemma *before* the
+void Inprocessor::remove_info(std::uint32_t idx, bool log_delete) {
+  if (!alive(idx)) return;
+  if (locked(idx)) return;  // reasons must stay alive
+  flags_[idx] &= static_cast<std::uint8_t>(~kAlive);
+  s_.remove_clause(infos_[idx].cref, log_delete);  // detaches, frees
+}
+
+// Rewrite the clause behind `idx` without `drop` and its level-0 false
+// literals, logging the strengthened clause as a lemma *before* the
 // deletion of its ancestor so the checker's live window always contains
 // the clauses the lemma follows from. Returns false iff the rewrite
 // collapsed to a top-level conflict.
 bool Inprocessor::strengthen(std::uint32_t idx, Lit drop, std::uint32_t sub) {
-  ClsInfo& info = infos_[idx];
-  const CRef cref = info.cref;
+  const CRef cref = infos_[idx].cref;
   const Clause& c = s_.arena_.deref(cref);
-  std::vector<Lit> old_lits(c.lits().begin(), c.lits().end());
-  std::vector<Lit> new_lits;
-  for (const Lit l : old_lits) {
+  rewrite_.clear();
+  for (const Lit l : c.lits()) {
     if (l == drop) continue;
     if (s_.value(l) == LBool::kTrue) return true;  // became satisfied: skip
     if (s_.value(l) == LBool::kFalse) continue;    // shed level-0 falses too
-    new_lits.push_back(l);
+    rewrite_.push_back(l);
   }
   if (s_.proof_) {
     // Hints: the units of the level-0 literals both clauses lose, then the
@@ -123,23 +237,22 @@ bool Inprocessor::strengthen(std::uint32_t idx, Lit drop, std::uint32_t sub) {
     const CRef sub_cref = infos_[sub].cref;
     const bool via_sub = s_.value(drop) != LBool::kFalse;
     s_.begin_hints();
-    s_.hint_false_units(old_lits);
+    s_.hint_false_units(c.lits());
     if (via_sub) s_.hint_false_units(s_.arena_.deref(sub_cref).lits());
     if (!((!via_sub || s_.hint_clause(s_.clause_id(sub_cref))) &&
           s_.hint_clause(s_.clause_id(cref)) && s_.finish_hints())) {
       s_.hints_.clear();
     }
   }
-  return apply_rewrite(idx, new_lits, /*detached=*/false, /*requeue=*/true,
+  return apply_rewrite(idx, rewrite_, /*detached=*/false, /*requeue=*/true,
                        s_.hints_);
 }
 
 bool Inprocessor::apply_rewrite(std::uint32_t idx,
-                                const std::vector<Lit>& new_lits,
-                                bool detached, bool requeue,
+                                std::span<const Lit> new_lits, bool detached,
+                                bool requeue,
                                 std::span<const ProofId> hints) {
-  ClsInfo& info = infos_[idx];
-  const CRef cref = info.cref;
+  const CRef cref = infos_[idx].cref;
   ProofId id = kNoProofId;
   if (s_.proof_) {
     id = s_.proof_->add_lemma(new_lits, hints);
@@ -153,14 +266,14 @@ bool Inprocessor::apply_rewrite(std::uint32_t idx,
   if (new_lits.empty()) {
     // Every literal fell away: top-level conflict (the lemma just logged
     // is the empty clause).
-    info.alive = false;
+    flags_[idx] &= static_cast<std::uint8_t>(~kAlive);
     s_.arena_.free_clause(cref);
     s_.ok_ = false;
     return false;
   }
   if (new_lits.size() == 1) {
     // The clause became a unit; it lives on the trail from here.
-    info.alive = false;
+    flags_[idx] &= static_cast<std::uint8_t>(~kAlive);
     s_.arena_.free_clause(cref);
     assert(s_.value(new_lits[0]) == LBool::kUndef);
     s_.unchecked_enqueue(new_lits[0], kUndefClause);
@@ -170,21 +283,24 @@ bool Inprocessor::apply_rewrite(std::uint32_t idx,
       s_.ok_ = false;
       return false;
     }
+    mark_satisfied();
     return true;
   }
 
   Clause& c = s_.arena_.deref(cref);
-  for (std::size_t i = 0; i < new_lits.size(); ++i) c[static_cast<std::uint32_t>(i)] = new_lits[i];
-  s_.arena_.shrink_clause(cref, static_cast<std::uint32_t>(new_lits.size()));
+  for (std::size_t i = 0; i < new_lits.size(); ++i) {
+    c[static_cast<std::uint32_t>(i)] = new_lits[i];
+  }
+  const auto size = static_cast<std::uint32_t>(new_lits.size());
+  s_.arena_.shrink_clause(cref, size);
   if (s_.proof_) s_.set_clause_id(cref, id);
-  c.set_lbd(std::min<std::uint32_t>(
-      c.lbd(), static_cast<std::uint32_t>(new_lits.size())));
+  c.set_lbd(std::min(c.lbd(), size));
   s_.attach_clause(cref);  // surviving literals are all unassigned
-  info.size = static_cast<std::uint32_t>(new_lits.size());
-  info.sig = signature(c);
-  if (requeue && !info.learnt && !info.in_queue &&
-      info.size <= limits_.subsume_clause_max) {
-    info.in_queue = true;
+  infos_[idx].size = size;
+  flags_[idx] |= kRewritten;
+  if (requeue && !learnt(idx) && (flags_[idx] & kQueued) == 0 &&
+      size <= limits_.subsume_clause_max) {
+    flags_[idx] |= kQueued;
     subsume_queue_.push_back(idx);
   }
   return true;
@@ -192,16 +308,13 @@ bool Inprocessor::apply_rewrite(std::uint32_t idx,
 
 bool Inprocessor::try_subsume(std::uint32_t didx, std::uint32_t sidx,
                               std::uint32_t sub_size) {
-  const ClsInfo& dinfo = infos_[didx];
-  if (s_.locked(dinfo.cref)) return true;
-  const Clause& d = s_.arena_.deref(dinfo.cref);
-  if (clause_satisfied(d)) return true;
+  if (locked(didx) || clause_satisfied(didx)) return true;
   // The subsumer C is stamped: count D's literals matching C exactly and
   // matching negated. Literal-distinctness makes the counts exact.
   std::uint32_t exact = 0;
   std::uint32_t flipped = 0;
   Lit flip_lit = kUndefLit;
-  for (const Lit l : d.lits()) {
+  for (const Lit l : s_.arena_.deref(infos_[didx].cref).lits()) {
     if (lit_stamp_[static_cast<std::size_t>(l.index())] == stamp_) {
       ++exact;
     } else if (lit_stamp_[static_cast<std::size_t>((~l).index())] == stamp_) {
@@ -212,7 +325,8 @@ bool Inprocessor::try_subsume(std::uint32_t didx, std::uint32_t sidx,
   if (exact == sub_size) {
     // C ⊆ D: D is redundant.
     ++subsumed_;
-    return remove_info(didx);
+    remove_info(didx);
+    return true;
   }
   if (exact + 1 == sub_size && flipped == 1) {
     // Self-subsuming resolution: C ⊗ D on flip_lit's variable yields
@@ -225,58 +339,66 @@ bool Inprocessor::try_subsume(std::uint32_t didx, std::uint32_t sidx,
 bool Inprocessor::backward_subsume() {
   subsume_queue_.clear();
   for (std::uint32_t i = 0; i < infos_.size(); ++i) {
-    if (!infos_[i].learnt && infos_[i].size <= limits_.subsume_clause_max) {
-      infos_[i].in_queue = true;
+    if (!learnt(i) && infos_[i].size <= limits_.subsume_clause_max) {
+      flags_[i] |= kQueued;
       subsume_queue_.push_back(i);
     }
   }
   for (std::size_t qi = 0; qi < subsume_queue_.size(); ++qi) {
     if ((qi & 63u) == 0 && abort_requested()) return true;
     const std::uint32_t idx = subsume_queue_[qi];
-    infos_[idx].in_queue = false;
-    if (!infos_[idx].alive) continue;
+    flags_[idx] &= static_cast<std::uint8_t>(~kQueued);
+    if (!alive(idx) || clause_satisfied(idx)) continue;
     const Clause& c = s_.arena_.deref(infos_[idx].cref);
-    if (clause_satisfied(c)) continue;
-    // Candidates are every clause containing C's least-occupied variable.
-    Var best = c[0].var();
+    // Candidates are every clause containing C's least-occupied variable
+    // (counting the entries its list still holds for dropped clauses).
+    Lit pivot = c[0];
+    std::uint32_t fewest = occ_size_[static_cast<std::size_t>(pivot.var())];
+    std::uint64_t all = 0;
+    std::uint64_t shared = 0;
     for (const Lit l : c.lits()) {
-      if (occ_[static_cast<std::size_t>(l.var())].size() <
-          occ_[static_cast<std::size_t>(best)].size()) {
-        best = l.var();
+      const std::uint32_t n = occ_size_[static_cast<std::size_t>(l.var())];
+      if (n < fewest) {
+        pivot = l;
+        fewest = n;
       }
+      shared |= all & lit_bit(l);
+      all |= lit_bit(l);
     }
-    ++stamp_;
-    for (const Lit l : c.lits()) {
-      lit_stamp_[static_cast<std::size_t>(l.index())] = stamp_;
-    }
+    const Var best = pivot.var();
+    // C's other literals, as in the entries.
+    const std::uint64_t csig = all & ~(lit_bit(pivot) & ~shared);
     const std::uint32_t csize = infos_[idx].size;
-    const std::uint64_t csig = infos_[idx].sig;
-    auto& olist = occ_[static_cast<std::size_t>(best)];
-    std::size_t w = 0;
-    bool early_out = false;
-    for (std::size_t oi = 0; oi < olist.size(); ++oi) {
-      const std::uint32_t didx = olist[oi];
-      if (!infos_[didx].alive) continue;  // compact dead entries away
-      const Clause& d = s_.arena_.deref(infos_[didx].cref);
-      bool has_best = false;
-      for (const Lit l : d.lits()) {
-        if (l.var() == best) {
-          has_best = true;
-          break;
+    bool stamped = false;
+    // The walk compacts dead and stale entries away. Resolvents arrive
+    // only during elimination, so the slice is all there is.
+    std::uint32_t& len = occ_size_[static_cast<std::size_t>(best)];
+    Occ* olist = occ_.get() + occ_begin_[static_cast<std::size_t>(best)];
+    std::uint32_t w = 0;
+    for (std::uint32_t oi = 0; oi < len; ++oi) {
+      const Occ o = olist[oi];
+      if (!alive(o.idx) || !still_contains(o, best)) continue;
+      olist[w++] = o;
+      // With the pivot in D, C may subsume D or strengthen it on another
+      // literal; with ~pivot in D, only strengthen it on the pivot, which
+      // needs all of C's other literals in D. The recorded size and
+      // signature bound D's current ones from above; a candidate they
+      // admit but D no longer fits is a no-op in try_subsume.
+      const bool same_sign = (o.size_sign & 1u) == (pivot.sign() ? 1u : 0u);
+      if (o.idx == idx || (o.size_sign >> 1) < csize ||
+          !(same_sign ? may_subsume(csig, o.sig) : (csig & ~o.sig) == 0)) {
+        continue;
+      }
+      if (!stamped) {
+        ++stamp_;
+        for (const Lit l : c.lits()) {
+          lit_stamp_[static_cast<std::size_t>(l.index())] = stamp_;
         }
+        stamped = true;
       }
-      if (!has_best) continue;  // stale after strengthening
-      olist[w++] = didx;
-      if (didx == idx) continue;
-      if (infos_[didx].size < csize) continue;
-      if ((csig & ~infos_[didx].sig) != 0) continue;  // signature pre-filter
-      if (!try_subsume(didx, idx, csize)) return false;  // top-level UNSAT
-      if (!infos_[idx].alive) {
-        early_out = true;
-        break;
-      }
+      if (!try_subsume(o.idx, idx, csize)) return false;  // top-level UNSAT
     }
-    if (!early_out) olist.resize(w);
+    len = w;
   }
   return true;
 }
@@ -286,10 +408,9 @@ bool Inprocessor::vivify() {
   // problem clauses in DB order — their activity is uniformly zero).
   std::vector<std::uint32_t> cands;
   for (std::uint32_t i = 0; i < infos_.size(); ++i) {
-    const ClsInfo& info = infos_[i];
-    if (!info.alive) continue;
-    if (!info.learnt && !limits_.vivify_irredundant) continue;
-    if (info.size >= 3 && info.size <= limits_.vivify_max_width) {
+    if (!alive(i)) continue;
+    if (!learnt(i) && !limits_.vivify_irredundant) continue;
+    if (infos_[i].size >= 3 && infos_[i].size <= limits_.vivify_max_width) {
       cands.push_back(i);
     }
   }
@@ -303,14 +424,14 @@ bool Inprocessor::vivify() {
   }
 
   std::vector<Lit> orig;
-  std::vector<Lit> kept;
+  std::vector<Lit>& kept = rewrite_;
   for (const std::uint32_t idx : cands) {
     if (abort_requested()) return true;
-    if (!infos_[idx].alive) continue;
+    if (!alive(idx)) continue;
     const CRef cref = infos_[idx].cref;
+    if (clause_satisfied(idx) || locked(idx)) continue;
     {
       const Clause& c = s_.arena_.deref(cref);
-      if (clause_satisfied(c) || s_.locked(cref)) continue;
       orig.assign(c.lits().begin(), c.lits().end());
     }
     // Probe the clause detached, so its own watches cannot "help" the
@@ -319,6 +440,11 @@ bool Inprocessor::vivify() {
     kept.clear();
     bool shortened = false;
     bool done = false;
+    // The clause that closes the new clause's hint chain: the conflict,
+    // the reason of a literal the probes made true, or, when the probes
+    // only falsified literals, the original clause itself.
+    CRef closing = cref;
+    CRef theory_conflict = kUndefClause;
     for (std::size_t i = 0; i < orig.size() && !done; ++i) {
       const Lit l = orig[i];
       const LBool v = s_.value(l);
@@ -328,6 +454,7 @@ bool Inprocessor::vivify() {
         kept.push_back(l);
         shortened = shortened || (i + 1 < orig.size());
         done = true;
+        closing = s_.vardata_[static_cast<std::size_t>(l.var())].reason;
       } else if (v == LBool::kFalse) {
         // Earlier probes (or level-0 units) falsify l: drop it.
         shortened = true;
@@ -337,132 +464,173 @@ bool Inprocessor::vivify() {
         kept.push_back(l);
         const CRef confl = s_.propagate();
         if (confl != kUndefClause) {
-          if (s_.arena_.deref(confl).theory()) s_.arena_.free_clause(confl);
+          if (s_.arena_.deref(confl).theory()) theory_conflict = confl;
           shortened = shortened || (i + 1 < orig.size());
           done = true;
+          closing = confl;
         }
       }
     }
+    // kept ⊊ orig follows by unit propagation from ¬kept; the chain is
+    // read off the probes' implication graph, so it is collected before
+    // the backtrack. The checker still holds the original clause at this
+    // point in the log (the rewrite deletes it only after the lemma).
+    if (shortened && s_.proof_ && !s_.chain_hints(kept, closing)) {
+      s_.hints_.clear();
+    }
+    if (theory_conflict != kUndefClause) s_.arena_.free_clause(theory_conflict);
     s_.cancel_until(0);
     if (!shortened) {
       s_.attach_clause(cref);  // unchanged, original watches restored
       continue;
     }
-    // kept ⊊ orig is RUP: asserting ¬kept replays the probe propagations
-    // in the checker, which still holds the original clause at this point
-    // in the log (the rewrite deletes it only after the lemma). It is
-    // logged without hints and checked by RUP.
     if (!apply_rewrite(idx, kept, /*detached=*/true, /*requeue=*/false,
-                       {})) {
+                       s_.proof_ ? std::span<const ProofId>(s_.hints_)
+                                 : std::span<const ProofId>{})) {
       return false;
     }
   }
   return true;
 }
 
-bool Inprocessor::gather_var_occurrences(Var v, std::vector<std::uint32_t>& pos,
-                                         std::vector<std::uint32_t>& neg,
-                                         std::vector<std::uint32_t>& learnt_occ) {
-  pos.clear();
-  neg.clear();
-  learnt_occ.clear();
-  auto& olist = occ_[static_cast<std::size_t>(v)];
-  std::size_t w = 0;
+bool Inprocessor::gather_var_occurrences(Var v) {
+  pos_.clear();
+  neg_.clear();
+  learnt_occ_.clear();
+  pos_vars_.clear();
+  neg_vars_.clear();
   bool usable = true;
-  for (const std::uint32_t idx : olist) {
-    if (!infos_[idx].alive) continue;
-    const Clause& c = s_.arena_.deref(infos_[idx].cref);
-    Lit vlit = kUndefLit;
-    for (const Lit l : c.lits()) {
-      if (l.var() == v) {
-        vlit = l;
-        break;
-      }
-    }
-    if (vlit == kUndefLit) continue;  // stale after strengthening
-    if (clause_satisfied(c)) {
-      if (s_.locked(infos_[idx].cref)) {
+  for_each_occurrence(v, [&](const Occ& o) {
+    const std::uint8_t f = flags_[o.idx];
+    if ((f & kAlive) == 0 || !still_contains(o, v)) return;
+    if ((f & kSatisfied) != 0) {
+      if (locked(o.idx)) {
         // Should be impossible while v is unassigned; refuse defensively.
-        olist[w++] = idx;
         usable = false;
       } else {
-        remove_info(idx);  // redundant under a level-0 unit
+        remove_info(o.idx);  // redundant under a level-0 unit
       }
-      continue;
+      return;
     }
-    olist[w++] = idx;
-    if (infos_[idx].learnt) {
-      learnt_occ.push_back(idx);
-    } else if (vlit.sign()) {
-      neg.push_back(idx);
+    if ((f & kLearnt) != 0) {
+      learnt_occ_.push_back(o.idx);
+    } else if ((o.size_sign & 1u) != 0) {
+      neg_.push_back(o.idx);
+      neg_vars_.push_back(var_classes(o.sig));
     } else {
-      pos.push_back(idx);
+      pos_.push_back(o.idx);
+      pos_vars_.push_back(var_classes(o.sig));
     }
-  }
-  olist.resize(w);
+  });
   return usable;
 }
 
-bool Inprocessor::resolve(const Clause& p, const Clause& n, Var v,
-                          std::vector<Lit>& out) {
-  out.clear();
-  ++stamp_;
-  for (const Lit l : p.lits()) {
-    if (l.var() == v) continue;
-    if (s_.value(l) == LBool::kTrue) return false;  // entailed by a unit
-    if (s_.value(l) == LBool::kFalse) continue;
-    lit_stamp_[static_cast<std::size_t>(l.index())] = stamp_;
-    out.push_back(l);
-  }
-  for (const Lit l : n.lits()) {
-    if (l.var() == v) continue;
-    if (lit_stamp_[static_cast<std::size_t>((~l).index())] == stamp_) {
-      return false;  // tautological resolvent
+// Count v's non-redundant resolvents against the growth cap, keeping them
+// in res_ for the commit. Each parent's literals other than v and the
+// level-0 false ones are copied out once, and each positive parent is
+// stamped once for all its partners; a resolvent is its positive parent's
+// literals followed by its negative parent's new ones. Returns false iff
+// an empty resolvent proves UNSAT.
+bool Inprocessor::dry_run(Var v, bool& vetoed) {
+  side_lits_.clear();
+  pos_slices_.clear();
+  neg_slices_.clear();
+  auto copy_side = [&](const std::vector<std::uint32_t>& side,
+                       std::vector<Slice>& slices) {
+    for (const std::uint32_t idx : side) {
+      Slice sl{static_cast<std::uint32_t>(side_lits_.size()), 0, 0, false};
+      for (const Lit l : s_.arena_.deref(infos_[idx].cref).lits()) {
+        if (l.var() == v || s_.value(l) == LBool::kFalse) continue;
+        if (s_.value(l) == LBool::kTrue) {  // entailed by a unit
+          sl.entailed = true;
+          break;
+        }
+        side_lits_.push_back(l);
+        sl.vars |= std::uint64_t{1}
+                   << (static_cast<std::uint32_t>(l.var()) & 63u);
+      }
+      if (sl.entailed) side_lits_.resize(sl.begin);
+      sl.end = static_cast<std::uint32_t>(side_lits_.size());
+      slices.push_back(sl);
     }
-    if (lit_stamp_[static_cast<std::size_t>(l.index())] == stamp_) continue;
-    if (s_.value(l) == LBool::kTrue) return false;
-    if (s_.value(l) == LBool::kFalse) continue;
-    lit_stamp_[static_cast<std::size_t>(l.index())] = stamp_;
-    out.push_back(l);
+  };
+  copy_side(pos_, pos_slices_);
+  copy_side(neg_, neg_slices_);
+
+  const std::size_t cap =
+      pos_.size() + neg_.size() + static_cast<std::size_t>(limits_.bve_grow);
+  res_lits_.clear();
+  res_.clear();
+  for (std::size_t i = 0; i < pos_.size(); ++i) {
+    const Slice& p = pos_slices_[i];
+    if (p.entailed) continue;
+    const std::span<const Lit> plits(side_lits_.data() + p.begin,
+                                     p.end - p.begin);
+    ++stamp_;
+    for (const Lit l : plits) {
+      lit_stamp_[static_cast<std::size_t>(l.index())] = stamp_;
+    }
+    for (std::size_t k = 0; k < neg_.size(); ++k) {
+      const Slice& n = neg_slices_[k];
+      if (n.entailed) continue;
+      const std::span<const Lit> nlits(side_lits_.data() + n.begin,
+                                       n.end - n.begin);
+      // Parents without a common variable need no stamp lookups.
+      const bool disjoint = (p.vars & n.vars) == 0;
+      if (!disjoint &&
+          std::any_of(nlits.begin(), nlits.end(), [&](Lit l) {
+            return lit_stamp_[static_cast<std::size_t>((~l).index())] ==
+                   stamp_;
+          })) {
+        continue;  // tautological resolvent
+      }
+      const auto begin = static_cast<std::uint32_t>(res_lits_.size());
+      res_lits_.insert(res_lits_.end(), plits.begin(), plits.end());
+      for (const Lit l : nlits) {
+        if (disjoint ||
+            lit_stamp_[static_cast<std::size_t>(l.index())] != stamp_) {
+          res_lits_.push_back(l);
+        }
+      }
+      const auto size = static_cast<std::uint32_t>(res_lits_.size()) - begin;
+      if (size == 0) {
+        // All resolvent literals are false at level 0: UNSAT.
+        if (s_.proof_) log_resolvent({}, pos_[i], neg_[k]);
+        s_.ok_ = false;
+        return false;
+      }
+      if (size > limits_.bve_resolvent_max || res_.size() == cap) {
+        vetoed = true;
+        return true;
+      }
+      res_.push_back({begin, size, pos_[i], neg_[k]});
+    }
   }
   return true;
 }
 
-void Inprocessor::push_reconstruction(Var v,
-                                      const std::vector<std::uint32_t>& side,
-                                      Lit unit) {
-  auto& st = s_.elim_stack_;
-  for (const std::uint32_t idx : side) {
-    const Clause& c = s_.arena_.deref(infos_[idx].cref);
-    const std::size_t start = st.size();
-    st.push_back(0);  // slot for the eliminated literal (placed first)
-    for (const Lit l : c.lits()) {
-      if (l.var() == v) {
-        st[start] = static_cast<std::uint32_t>(l.index());
-      } else {
-        st.push_back(static_cast<std::uint32_t>(l.index()));
-      }
-    }
-    st.push_back(c.size());
-  }
-  // The default-value unit goes last: extend_model() walks backward, so
-  // it fires first and the stored clauses override it only when forced.
-  st.push_back(static_cast<std::uint32_t>(unit.index()));
-  st.push_back(1u);
-}
-
-void Inprocessor::save_for_restore(Var v,
-                                   const std::vector<std::uint32_t>& side) {
-  for (const std::uint32_t idx : side) {
-    const Clause& c = s_.arena_.deref(infos_[idx].cref);
+void Inprocessor::save_elimination(Var v, Lit unit) {
+  auto save = [&](std::uint32_t idx) {
+    const CRef cref = infos_[idx].cref;
+    const Clause& c = s_.arena_.deref(cref);
     s_.elim_saved_.push_back(
-        {v, s_.clause_id(infos_[idx].cref),
-         std::vector<Lit>(c.lits().begin(), c.lits().end())});
-  }
+        {s_.clause_id(cref),
+         static_cast<std::uint32_t>(s_.elim_saved_lits_.size()), c.size()});
+    s_.elim_saved_lits_.insert(s_.elim_saved_lits_.end(), c.lits().begin(),
+                               c.lits().end());
+  };
+  const auto first = static_cast<std::uint32_t>(s_.elim_saved_.size());
+  for (const std::uint32_t idx : pos_) save(idx);
+  const auto split = static_cast<std::uint32_t>(s_.elim_saved_.size());
+  for (const std::uint32_t idx : neg_) save(idx);
+  s_.elim_group_of_[static_cast<std::size_t>(v)] =
+      static_cast<std::uint32_t>(s_.elim_groups_.size());
+  s_.elim_groups_.push_back(
+      {unit, first, split, static_cast<std::uint32_t>(s_.elim_saved_.size())});
 }
 
-ProofId Inprocessor::log_resolvent(const std::vector<Lit>& r,
-                                   std::uint32_t pi, std::uint32_t ni) {
+ProofId Inprocessor::log_resolvent(std::span<const Lit> r, std::uint32_t pi,
+                                   std::uint32_t ni) {
   // Hints: the units of the level-0 literals resolution dropped, then the
   // positive parent (unit on v) and the negative one (falsified).
   const CRef p = infos_[pi].cref;
@@ -477,8 +645,7 @@ ProofId Inprocessor::log_resolvent(const std::vector<Lit>& r,
   return s_.proof_->add_lemma(r, s_.hints_);
 }
 
-bool Inprocessor::attach_resolvent(const std::vector<Lit>& r, ProofId id,
-                                   std::vector<PendingUnit>& pending_units) {
+bool Inprocessor::attach_resolvent(std::span<const Lit> r, ProofId id) {
   if (r.empty()) {
     s_.ok_ = false;
     return false;
@@ -486,18 +653,18 @@ bool Inprocessor::attach_resolvent(const std::vector<Lit>& r, ProofId id,
   if (r.size() == 1) {
     // Deferred: enqueueing now could lock a parent clause we are about to
     // delete.
-    pending_units.push_back({r[0], id});
+    pending_units_.push_back({r[0], id});
     return true;
   }
   const CRef cref = s_.arena_.alloc(r, /*learnt=*/false);
   if (s_.proof_) s_.set_clause_id(cref, id);
   s_.attach_clause(cref);
-  register_clause(cref, /*learnt=*/false);
+  register_resolvent(cref, r);
   return true;
 }
 
-bool Inprocessor::flush_units(std::vector<PendingUnit>& pending_units) {
-  for (const PendingUnit& u : pending_units) {
+bool Inprocessor::flush_units() {
+  for (const PendingUnit& u : pending_units_) {
     if (s_.value(u.lit) == LBool::kTrue) continue;
     if (s_.value(u.lit) == LBool::kFalse) {
       if (s_.proof_) {
@@ -513,99 +680,77 @@ bool Inprocessor::flush_units(std::vector<PendingUnit>& pending_units) {
     s_.unchecked_enqueue(u.lit, kUndefClause);
     if (s_.proof_) s_.set_unit_id(u.lit.var(), u.id);
   }
-  pending_units.clear();
+  pending_units_.clear();
   if (const CRef confl = s_.propagate(); confl != kUndefClause) {
     if (s_.proof_) s_.log_level0_conflict(confl);
     s_.ok_ = false;
     return false;
   }
+  mark_satisfied();
   return true;
 }
 
 bool Inprocessor::eliminate_variables() {
-  std::vector<std::uint32_t> pos;
-  std::vector<std::uint32_t> neg;
-  std::vector<std::uint32_t> learnt_occ;
-  std::vector<std::vector<Lit>> resolvents;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> parents;
-  std::vector<Lit> resolvent;
-  std::vector<PendingUnit> pending_units;
   const std::int32_t nvars = s_.num_vars();
+  if (s_.elim_group_of_.size() < static_cast<std::size_t>(nvars)) {
+    s_.elim_group_of_.resize(static_cast<std::size_t>(nvars));
+  }
   for (Var v = 0; v < nvars; ++v) {
     if ((v & 31) == 0 && abort_requested()) return true;
     if (s_.value(v) != LBool::kUndef || s_.frozen_[static_cast<std::size_t>(v)] != 0 ||
         s_.eliminated_[static_cast<std::size_t>(v)] != 0) {
       continue;
     }
-    if (!gather_var_occurrences(v, pos, neg, learnt_occ)) continue;
-    if (pos.empty() && neg.empty()) continue;  // only learnt occurrences:
+    if (!gather_var_occurrences(v)) continue;
+    if (pos_.empty() && neg_.empty()) continue;  // only learnt occurrences:
     // eliminating on learnts alone is unsound (they are consequences, not
     // definitions), and an unconstrained var needs no elimination.
-    if (pos.size() > limits_.bve_occ_max || neg.size() > limits_.bve_occ_max) {
+    if (pos_.size() > limits_.bve_occ_max || neg_.size() > limits_.bve_occ_max) {
       continue;
     }
-
-    // Dry run: count non-redundant resolvents against the growth cap.
-    resolvents.clear();
-    parents.clear();
-    const std::size_t cap =
-        pos.size() + neg.size() + static_cast<std::size_t>(limits_.bve_grow);
-    bool vetoed = false;
-    for (const std::uint32_t pi : pos) {
-      for (const std::uint32_t ni : neg) {
-        if (!resolve(s_.arena_.deref(infos_[pi].cref),
-                     s_.arena_.deref(infos_[ni].cref), v, resolvent)) {
-          continue;  // tautological or already entailed
-        }
-        if (resolvent.empty()) {
-          // All resolvent literals are false at level 0: UNSAT.
-          if (s_.proof_) log_resolvent(resolvent, pi, ni);
-          s_.ok_ = false;
-          return false;
-        }
-        if (resolvent.size() > limits_.bve_resolvent_max) {
-          vetoed = true;
-          break;
-        }
-        resolvents.push_back(resolvent);
-        if (s_.proof_) parents.emplace_back(pi, ni);
-        if (resolvents.size() > cap) {
-          vetoed = true;
-          break;
-        }
-      }
-      if (vetoed) break;
+    // Parents without a common variable besides v always have a resolvent
+    // (the recorded signatures exclude v and can only overstate the
+    // others); when those alone exceed the cap, v is vetoed before any
+    // clause is read. An empty resolvent cannot be missed this way: its
+    // parents would be unit on v and ~v, and level-0 propagation would
+    // have assigned v.
+    std::size_t certain = 0;
+    for (const std::uint64_t p : pos_vars_) {
+      for (const std::uint64_t n : neg_vars_) certain += (p & n) == 0;
     }
+    if (certain > pos_.size() + neg_.size() +
+                      static_cast<std::size_t>(limits_.bve_grow)) {
+      continue;
+    }
+    bool vetoed = false;
+    if (!dry_run(v, vetoed)) return false;
     if (vetoed) continue;
 
     // Commit. Order matters for the proof: resolvent lemmas are logged
     // while both occurrence sides are still live in the checker's window;
     // only then are the sides deleted.
-    const bool store_neg = pos.size() > neg.size();
-    push_reconstruction(v, store_neg ? neg : pos,
-                        store_neg ? Lit(v, false) : Lit(v, true));
-    // Both occurrence sides are saved verbatim so a later reuse of v can
-    // restore them, and their deletions stay unlogged (log_delete=false)
-    // so they remain live in the RUP checker — see Solver::restore_var.
-    // Removed learnts are neither saved nor kept live: dropping a learnt
-    // is always sound.
-    save_for_restore(v, pos);
-    save_for_restore(v, neg);
-    pending_units.clear();
-    for (std::size_t k = 0; k < resolvents.size(); ++k) {
+    // Both occurrence sides are saved verbatim: the smaller one rebuilds
+    // v's model value (Solver::extend_model), both restore v if it is
+    // reused. Their deletions stay unlogged (log_delete=false) so they
+    // remain live in the RUP checker — see Solver::restore_var. Removed
+    // learnts are neither saved nor kept live: dropping a learnt is
+    // always sound.
+    save_elimination(v, pos_.size() > neg_.size() ? Lit(v, false)
+                                                  : Lit(v, true));
+    pending_units_.clear();
+    for (const Resolvent& r : res_) {
+      const std::span<const Lit> lits(res_lits_.data() + r.begin, r.size);
       const ProofId id =
-          s_.proof_ ? log_resolvent(resolvents[k], parents[k].first,
-                                    parents[k].second)
-                    : kNoProofId;
-      if (!attach_resolvent(resolvents[k], id, pending_units)) return false;
+          s_.proof_ ? log_resolvent(lits, r.pos, r.neg) : kNoProofId;
+      if (!attach_resolvent(lits, id)) return false;
     }
-    for (const std::uint32_t idx : pos) remove_info(idx, /*log_delete=*/false);
-    for (const std::uint32_t idx : neg) remove_info(idx, /*log_delete=*/false);
-    for (const std::uint32_t idx : learnt_occ) remove_info(idx);
+    for (const std::uint32_t idx : pos_) remove_info(idx, /*log_delete=*/false);
+    for (const std::uint32_t idx : neg_) remove_info(idx, /*log_delete=*/false);
+    for (const std::uint32_t idx : learnt_occ_) remove_info(idx);
     s_.eliminated_[static_cast<std::size_t>(v)] = 1;
     s_.decision_[static_cast<std::size_t>(v)] = 0;
     ++eliminated_;
-    if (!flush_units(pending_units)) return false;
+    if (!flush_units()) return false;
   }
   return true;
 }
@@ -613,15 +758,23 @@ bool Inprocessor::eliminate_variables() {
 void Inprocessor::finalize() {
   std::vector<CRef> cls = std::move(kept_clauses_);
   std::vector<CRef> lrn = std::move(kept_learnts_);
-  for (const ClsInfo& info : infos_) {
-    if (!info.alive) continue;
-    (info.learnt ? lrn : cls).push_back(info.cref);
+  cls.reserve(cls.size() + infos_.size());
+  for (std::uint32_t idx = 0; idx < infos_.size(); ++idx) {
+    if (!alive(idx)) continue;
+    (learnt(idx) ? lrn : cls).push_back(infos_[idx].cref);
   }
   s_.clauses_ = std::move(cls);
   s_.learnts_ = std::move(lrn);
-  occ_.clear();
-  infos_.clear();
-  // Occurrence lists are gone; compacting the arena is safe again.
+  // Release the pass's arrays before a compaction allocates a new arena;
+  // with the occurrence lists gone, compacting is safe again.
+  occ_.reset();
+  occ_begin_ = {};
+  occ_size_ = {};
+  occ_last_ = {};
+  added_ = {};
+  infos_ = {};
+  flags_ = {};
+  lit_stamp_ = {};
   if (s_.arena_.wasted() * 2 > s_.arena_.size()) s_.garbage_collect();
 }
 
@@ -672,8 +825,14 @@ bool Solver::maybe_inprocess() {
   if (inprocess_backoff_ <= 0) {
     inprocess_backoff_ = std::max<std::int64_t>(1, inprocess_interval);
   }
+  const bool timed = obs::phase_timing();
+  const std::uint64_t t0 = timed ? obs::monotonic_ns() : 0;
   Inprocessor pass(*this);
   const bool alive = pass.run();
+  if (timed) {
+    stats_.inprocess_seconds +=
+        static_cast<double>(obs::monotonic_ns() - t0) * 1e-9;
+  }
   // Geometric backoff: each pass doubles the conflict distance to the
   // next one, so simplification cost stays a vanishing fraction of search.
   inprocess_next_ =
@@ -685,7 +844,7 @@ bool Solver::maybe_inprocess() {
 void Solver::restore_var(Var v) {
   // Incremental inprocessing (Fazekas/Biere/Scholl): an eliminated
   // variable reappearing in an add_clause or assumption gets its removed
-  // clauses re-attached and its reconstruction entries dropped, after
+  // clauses re-attached and its reconstruction entries retired, after
   // which it behaves as if it had never been eliminated. Proof-wise this
   // is free: the removed clauses' deletions were never logged, so the
   // RUP checker has had them live all along.
@@ -698,32 +857,16 @@ void Solver::restore_var(Var v) {
   decision_[static_cast<std::size_t>(v)] = 1;
   if (assigns_[static_cast<std::size_t>(v)] == LBool::kUndef) order_.insert(v);
   ++stats_.restored_vars;
+  static const obs::Metric restored =
+      obs::counter("sat.inprocess.restored_vars");
+  obs::add(restored, 1);
 
-  // Drop v's groups from the reconstruction stack. Groups of *other*
-  // variables are untouched: a variable eliminated after v never stored a
-  // clause mentioning v (v had no occurrences left), and earlier groups
-  // that do mention v simply read its model value like any live variable.
-  {
-    std::vector<std::pair<std::size_t, std::size_t>> keep;  // [first, end)
-    for (std::size_t i = elim_stack_.size(); i > 0;) {
-      const std::uint32_t size = elim_stack_[--i];
-      const std::size_t first = i - size;
-      const Lit l0 =
-          Lit::from_index(static_cast<std::int32_t>(elim_stack_[first]));
-      if (l0.var() != v) keep.emplace_back(first, i + 1);
-      i = first;
-    }
-    std::vector<std::uint32_t> rebuilt;
-    rebuilt.reserve(elim_stack_.size());
-    for (std::size_t k = keep.size(); k-- > 0;) {
-      rebuilt.insert(rebuilt.end(),
-                     elim_stack_.begin() +
-                         static_cast<std::ptrdiff_t>(keep[k].first),
-                     elim_stack_.begin() +
-                         static_cast<std::ptrdiff_t>(keep[k].second));
-    }
-    elim_stack_ = std::move(rebuilt);
-  }
+  // v's group stays in elim_groups_: extend_model() skips the groups of
+  // variables no longer eliminated, and v, now frozen, is never
+  // eliminated again. Groups of *other* variables are untouched: a
+  // variable eliminated after v never saved a clause mentioning v (v had
+  // no occurrences left), and earlier groups that do mention v simply
+  // read its model value like any live variable.
 
   // Re-attach the saved clauses. add_clause_impl restores any *other*
   // still-eliminated variable they mention first (the cascade terminates:
@@ -731,18 +874,15 @@ void Solver::restore_var(Var v) {
   // current level-0 trail, and may derive top-level UNSAT — without
   // logging the clauses again, since the checker never saw them leave:
   // each keeps its step ID (only what normalization derives is logged).
-  std::vector<SavedElimClause> mine;
-  for (std::size_t i = 0; i < elim_saved_.size();) {
-    if (elim_saved_[i].v == v) {
-      mine.push_back(std::move(elim_saved_[i]));
-      elim_saved_[i] = std::move(elim_saved_.back());
-      elim_saved_.pop_back();
-    } else {
-      ++i;
-    }
-  }
-  for (const SavedElimClause& saved : mine) {
-    if (!add_clause_impl(saved.lits, /*theory=*/false, /*log_input=*/false,
+  // Only a pass appends to the saved pool, so the spans stay valid
+  // through the cascade.
+  const ElimGroup& g =
+      elim_groups_[elim_group_of_[static_cast<std::size_t>(v)]];
+  for (std::uint32_t i = g.first; i < g.last; ++i) {
+    const SavedElimClause& saved = elim_saved_[i];
+    const std::span<const Lit> lits(elim_saved_lits_.data() + saved.begin,
+                                    saved.size);
+    if (!add_clause_impl(lits, /*theory=*/false, /*log_input=*/false,
                          saved.id)) {
       return;
     }
@@ -750,28 +890,32 @@ void Solver::restore_var(Var v) {
 }
 
 void Solver::extend_model() {
-  // Replay the elimination stack backward (MiniSat SimpSolver layout:
-  // [lits... , size] per stored clause, eliminated literal first). A
-  // variable's default-value unit was pushed last, so it fires first;
-  // each stored clause whose other literals are all false then forces the
-  // eliminated literal true.
-  for (std::size_t i = elim_stack_.size(); i > 0;) {
-    const std::uint32_t size = elim_stack_[--i];
-    const std::size_t first = i - size;
-    bool satisfied = false;
-    for (std::size_t j = first + 1; j < i; ++j) {
-      const Lit l = Lit::from_index(static_cast<std::int32_t>(elim_stack_[j]));
-      if (model_value(l) != LBool::kFalse) {
-        satisfied = true;
-        break;
+  // Replay the eliminations backward (MiniSat SimpSolver order): each
+  // variable takes its default value, then every clause of its smaller
+  // side whose other literals are all false forces the variable's literal
+  // in it true. Groups of restored variables are skipped.
+  for (auto g = elim_groups_.rbegin(); g != elim_groups_.rend(); ++g) {
+    const Var v = g->unit.var();
+    if (eliminated_[static_cast<std::size_t>(v)] == 0) continue;
+    model_[static_cast<std::size_t>(v)] = to_lbool(!g->unit.sign());
+    const bool negative_side = !g->unit.sign();
+    const std::uint32_t first = negative_side ? g->split : g->first;
+    for (std::uint32_t i = negative_side ? g->last : g->split; i-- > first;) {
+      const SavedElimClause& saved = elim_saved_[i];
+      Lit own = kUndefLit;
+      bool satisfied = false;
+      for (std::uint32_t j = 0; j < saved.size && !satisfied; ++j) {
+        const Lit l = elim_saved_lits_[saved.begin + j];
+        if (l.var() == v) {
+          own = l;
+        } else {
+          satisfied = model_value(l) != LBool::kFalse;
+        }
+      }
+      if (!satisfied) {
+        model_[static_cast<std::size_t>(v)] = to_lbool(!own.sign());
       }
     }
-    if (!satisfied) {
-      const Lit l0 =
-          Lit::from_index(static_cast<std::int32_t>(elim_stack_[first]));
-      model_[l0.var()] = to_lbool(!l0.sign());
-    }
-    i = first;
   }
 }
 

@@ -4,32 +4,37 @@
 // A pass runs at a restart boundary (decision level 0) and applies, in
 // order:
 //   1. backward subsumption + self-subsuming resolution over the problem
-//      clauses, with 64-bit variable signatures as a pre-filter;
+//      clauses, with 64-bit literal signatures as a pre-filter;
 //   2. vivification (distillation) of the highest-activity learnt
 //      clauses: assert the negation of each literal in turn and shrink
 //      the clause when propagation falsifies literals or closes it early;
 //   3. bounded variable elimination (NiVER/SatELite style): resolve out
 //      variables whose non-tautological resolvent count does not exceed
-//      the occurrence count plus a growth cap, recording the removed
-//      clauses on the solver's model-reconstruction stack.
+//      the occurrence count plus a growth cap, saving the removed clauses
+//      for model reconstruction and restoration.
 //
 // Certification: every clause the pass derives is logged as a lemma
 // BEFORE the clauses it was derived from are logged as deleted, so the
 // checker's live window always holds its antecedents. Resolvents carry
 // their two parents as hints and self-subsuming strengthenings the
 // subsumer and the strengthened clause, each after the units of the
-// level-0 literals the rewrite dropped. Vivified clauses carry no hints
-// and are checked by RUP.
+// level-0 literals the rewrite dropped. Vivified clauses carry the chain
+// of the probes that shortened them.
 //
 // Model reconstruction: eliminating v removes all clauses containing v;
 // a model of the reduced formula is extended to the original one by
-// replaying the smaller occurrence side off Solver::elim_stack_ backward
-// (MiniSat SimpSolver layout — see Solver::extend_model).
+// replaying the saved smaller occurrence sides backward (MiniSat
+// SimpSolver order — see Solver::extend_model).
 //
-// Interaction with GC: occurrence lists hold raw CRefs, so a pass never
-// triggers arena relocation mid-flight; clauses deleted during the pass
-// only accrue to wasted(). The pass finalizer rebuilds clauses_/learnts_
-// from the surviving set and only then considers a compaction.
+// Layout: a pass keeps its working data in flat arrays that live for the
+// pass (DESIGN.md §14). What it computes — the eliminated variables, the
+// surviving clauses, the proof lines and the watch-list order, hence the
+// search that follows — must not depend on that layout;
+// Inprocess.PaperEncodingPassIsStable pins it. Occurrence lists hold
+// clause indices, never dereferenced across a relocation: clauses deleted
+// during the pass only accrue to wasted(), and the finalizer rebuilds
+// clauses_/learnts_ from the surviving set before it considers a
+// compaction.
 //
 // Frozen variables (Solver::set_frozen) are never eliminated; they are
 // the contract with every component that holds variable references
@@ -38,10 +43,11 @@
 // variable that reappears in a later add_clause or assumption is
 // transparently restored (Solver::restore_var re-attaches the removed
 // clauses — saved verbatim, their proof deletions never logged — and
-// drops the variable's reconstruction entries), so incremental callers
+// retires the variable's reconstruction group), so incremental callers
 // that froze nothing still get correct answers.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -95,13 +101,46 @@ class Inprocessor {
     ProofId id;
   };
 
+  /// A registered clause and its current literal count.
   struct ClsInfo {
     CRef cref;
-    std::uint64_t sig;    ///< union of 1<<(var&63) over current literals
-    std::uint32_t size;   ///< current literal count
-    bool learnt;
-    bool alive;
-    bool in_queue;        ///< scheduled in the subsumption queue
+    std::uint32_t size;
+  };
+  /// Per-clause state bits, one byte per clause in flags_.
+  enum : std::uint8_t {
+    kLearnt = 1,
+    kAlive = 2,
+    kQueued = 4,     ///< scheduled in the subsumption queue
+    kRewritten = 8,  ///< lost literals: its occurrence entries may be stale
+    kSatisfied = 16, ///< holds a literal made true at level 0 by the pass
+  };
+  /// One occurrence of a variable: the clause, the sign of the variable's
+  /// literal in it, the clause's size and the signature (union of
+  /// 1 << (index & 63)) of its other literals, both when registered.
+  /// Clauses only shrink, so the recorded size and signature bound the
+  /// current ones from above: they reject subsumption candidates and
+  /// elimination candidates soundly without touching the arena.
+  struct Occ {
+    std::uint32_t idx;
+    std::uint32_t size_sign;  ///< size << 1 | sign
+    std::uint64_t sig;
+  };
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+  /// One parent's literals other than the pivot and the level-0 false
+  /// ones, side_lits_[begin, end), with the signature of their variables.
+  /// Entailed: it holds a true literal, so it has no resolvents.
+  struct Slice {
+    std::uint32_t begin;
+    std::uint32_t end;
+    std::uint64_t vars;
+    bool entailed;
+  };
+  /// A dry-run resolvent: its literals in res_lits_ and its parents.
+  struct Resolvent {
+    std::uint32_t begin;
+    std::uint32_t size;
+    std::uint32_t pos;
+    std::uint32_t neg;
   };
 
   // Pass stages.
@@ -112,37 +151,53 @@ class Inprocessor {
   void finalize();
 
   // Helpers.
-  std::uint64_t signature(const Clause& c) const;
-  bool clause_satisfied(const Clause& c) const;
+  bool alive(std::uint32_t idx) const { return (flags_[idx] & kAlive) != 0; }
+  bool learnt(std::uint32_t idx) const { return (flags_[idx] & kLearnt) != 0; }
+  bool clause_satisfied(std::uint32_t idx) const {
+    return (flags_[idx] & kSatisfied) != 0;
+  }
+  bool locked(std::uint32_t idx) const;
+  bool still_contains(const Occ& o, Var v) const;
+  template <class F>
+  void for_each_occurrence(Var v, F&& f);
+  static Occ occ_entry(std::uint32_t idx, std::uint32_t size, Lit l,
+                       std::uint64_t others);
+  template <class F>
+  static void for_each_literal_sig(std::span<const Lit> lits, F&& f);
+  void mark_satisfied();
+  void register_resolvent(CRef cref, std::span<const Lit> lits);
   bool try_subsume(std::uint32_t didx, std::uint32_t sidx,
                    std::uint32_t sub_size);
   bool strengthen(std::uint32_t idx, Lit drop, std::uint32_t sub);
-  bool apply_rewrite(std::uint32_t idx, const std::vector<Lit>& new_lits,
+  bool apply_rewrite(std::uint32_t idx, std::span<const Lit> new_lits,
                      bool detached, bool requeue,
                      std::span<const ProofId> hints);
-  bool remove_info(std::uint32_t idx, bool log_delete = true);
-  void save_for_restore(Var v, const std::vector<std::uint32_t>& side);
-  void register_clause(CRef cref, bool learnt);
-  bool gather_var_occurrences(Var v, std::vector<std::uint32_t>& pos,
-                              std::vector<std::uint32_t>& neg,
-                              std::vector<std::uint32_t>& learnt_occ);
-  bool resolve(const Clause& p, const Clause& n, Var v,
-               std::vector<Lit>& out);
-  void push_reconstruction(Var v, const std::vector<std::uint32_t>& side,
-                           Lit unit);
-  ProofId log_resolvent(const std::vector<Lit>& r, std::uint32_t pi,
+  void remove_info(std::uint32_t idx, bool log_delete = true);
+  bool gather_var_occurrences(Var v);
+  bool dry_run(Var v, bool& vetoed);
+  void save_elimination(Var v, Lit unit);
+  ProofId log_resolvent(std::span<const Lit> r, std::uint32_t pi,
                         std::uint32_t ni);
-  bool attach_resolvent(const std::vector<Lit>& r, ProofId id,
-                        std::vector<PendingUnit>& pending_units);
-  bool flush_units(std::vector<PendingUnit>& pending_units);
+  bool attach_resolvent(std::span<const Lit> r, ProofId id);
+  bool flush_units();
   bool abort_requested() const;
-  void emit_telemetry(double seconds, std::size_t wasted_before);
+  void emit_telemetry(double seconds, std::size_t words_freed);
 
   Solver& s_;
   InprocessLimits limits_;
 
+  // Every array below lives for one pass and is sized once per pass (or
+  // grows geometrically); no stage allocates per clause or per variable.
   std::vector<ClsInfo> infos_;
-  std::vector<std::vector<std::uint32_t>> occ_;  ///< var -> info indices
+  std::vector<std::uint8_t> flags_;
+  /// Occurrences of variable v: the slice occ_[occ_begin_[v], +occ_size_[v])
+  /// built by counting, then the entries of resolvents in added_, chained
+  /// backward through added_prev_ from occ_last_[v] (kNone: none yet).
+  std::unique_ptr<Occ[]> occ_;
+  std::vector<std::uint32_t> occ_begin_, occ_size_, occ_last_;
+  std::vector<Occ> added_;
+  std::vector<std::uint32_t> added_prev_;
+  std::vector<std::uint32_t> chain_;  ///< for_each_occurrence() scratch
   /// Clauses excluded from the pass but kept in the DB (satisfied/locked
   /// at level 0, theory reasons).
   std::vector<CRef> kept_clauses_;
@@ -151,6 +206,19 @@ class Inprocessor {
   std::vector<std::uint32_t> lit_stamp_;
   std::uint32_t stamp_ = 0;
   std::vector<std::uint32_t> subsume_queue_;
+  /// Level-0 trail prefix whose literals' clauses carry kSatisfied.
+  std::size_t marked_ = 0;
+
+  // Elimination scratch, reused for every variable.
+  std::vector<std::uint32_t> pos_, neg_, learnt_occ_;
+  std::vector<std::uint64_t> pos_vars_, neg_vars_;  ///< their var_classes
+  /// Both sides' literals, copied once per variable for all partners.
+  std::vector<Lit> side_lits_;
+  std::vector<Slice> pos_slices_, neg_slices_;
+  std::vector<Lit> res_lits_;
+  std::vector<Resolvent> res_;
+  std::vector<PendingUnit> pending_units_;
+  std::vector<Lit> rewrite_;
 
   // Pass counters (folded into SolverStats and obs at the end).
   std::uint64_t subsumed_ = 0;

@@ -34,6 +34,7 @@ void flush_solve_metrics(const SolverStats& before, const SolverStats& after) {
   static const obs::Metric t_prop = obs::timer("sat.time.propagate");
   static const obs::Metric t_analyze = obs::timer("sat.time.analyze");
   static const obs::Metric t_reduce = obs::timer("sat.time.reduce_db");
+  static const obs::Metric t_inprocess = obs::timer("sat.time.inprocess");
   const auto delta = [](std::uint64_t a, std::uint64_t b) {
     return static_cast<std::int64_t>(a - b);
   };
@@ -53,6 +54,10 @@ void flush_solve_metrics(const SolverStats& before, const SolverStats& after) {
   }
   if (after.reduce_seconds > before.reduce_seconds) {
     obs::record(t_reduce, after.reduce_seconds - before.reduce_seconds);
+  }
+  if (after.inprocess_seconds > before.inprocess_seconds) {
+    obs::record(t_inprocess,
+                after.inprocess_seconds - before.inprocess_seconds);
   }
 }
 
@@ -87,6 +92,12 @@ Var Solver::new_var(bool decision) {
   if (decision) order_.insert(v);
   for (Propagator* p : propagators_) p->on_new_var(v);
   return v;
+}
+
+std::uint64_t Solver::num_literals() const {
+  std::uint64_t n = 0;
+  for (const CRef cref : clauses_) n += arena_.deref(cref).size();
+  return n;
 }
 
 bool Solver::add_clause(std::span<const Lit> lits) {
@@ -537,6 +548,7 @@ void Solver::reloc_all(ClauseArena& to) {
 void Solver::garbage_collect() {
   const std::size_t before = arena_.size();
   ClauseArena to;
+  to.reserve(arena_.size() - arena_.wasted());  // the live words
   // Proof mode: every clause that survives is in clauses_, learnts_ or a
   // trail reason; note their old references to carry their step IDs over.
   std::vector<CRef> survivors;

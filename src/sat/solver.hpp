@@ -11,6 +11,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/resource.hpp"
@@ -79,6 +80,7 @@ struct SolverStats {
   double propagate_seconds = 0.0;
   double analyze_seconds = 0.0;
   double reduce_seconds = 0.0;
+  double inprocess_seconds = 0.0;
 };
 
 class Solver {
@@ -93,6 +95,9 @@ class Solver {
   std::int32_t num_vars() const { return static_cast<std::int32_t>(assigns_.size()); }
   std::int64_t num_clauses() const { return static_cast<std::int64_t>(clauses_.size()); }
   std::int64_t num_learnts() const { return static_cast<std::int64_t>(learnts_.size()); }
+  /// Literal occurrences across the stored problem clauses (level-0 units
+  /// live on the trail, not here). O(number of clauses).
+  std::uint64_t num_literals() const;
 
   /// Add a clause (over existing variables). Returns false if the formula
   /// became trivially unsatisfiable. Must be called at decision level 0.
@@ -163,7 +168,7 @@ class Solver {
   /// so model_value() is always defined over the original formula. An
   /// eliminated variable that reappears in a later add_clause or
   /// assumption is transparently *restored* first (its removed clauses
-  /// re-attached, its reconstruction entries dropped, the variable frozen
+  /// re-attached, its reconstruction entries retired, the variable frozen
   /// from then on) — the incremental-inprocessing discipline of
   /// Fazekas/Biere/Scholl, so incremental callers never observe
   /// elimination at all. Freezing up front merely avoids the restore.
@@ -303,7 +308,7 @@ class Solver {
 
   // Inprocessing (defined in inprocess.cpp).
   bool maybe_inprocess();  ///< run a pass when due; returns ok_
-  void extend_model();     ///< replay elim_stack_ onto model_ after SAT
+  void extend_model();     ///< replay elim_groups_ onto model_ after SAT
   void restore_var(Var v); ///< undo an elimination whose variable is reused
 
   // Clause database.
@@ -361,21 +366,19 @@ class Solver {
   // Inprocessing state.
   std::vector<char> frozen_;      ///< never eliminate (external references)
   std::vector<char> eliminated_;  ///< removed by variable elimination
-  /// Model-reconstruction stack: per stored clause the literal indices
-  /// (eliminated literal first) followed by the length, so extend_model()
-  /// can replay the stack backward (MiniSat's SimpSolver layout).
-  std::vector<std::uint32_t> elim_stack_;
   /// Verbatim copies of every irredundant clause an elimination removed,
-  /// keyed by the eliminated variable, so restore_var() can re-attach
-  /// them. Their proof deletions are deliberately *not* logged (the
-  /// checker keeps them live under their step IDs, making restoration
-  /// proof-free).
+  /// in one flat pool: the literals of entry k are
+  /// elim_saved_lits_[begin, begin + size). restore_var() re-attaches a
+  /// variable's entries; their proof deletions are deliberately *not*
+  /// logged (the checker keeps them live under their step IDs, making
+  /// restoration proof-free).
   struct SavedElimClause {
-    Var v;
     ProofId id;  ///< kNoProofId without a proof log
-    std::vector<Lit> lits;
+    std::uint32_t begin;
+    std::uint32_t size;
   };
   std::vector<SavedElimClause> elim_saved_;
+  std::vector<Lit> elim_saved_lits_;
   std::int64_t inprocess_next_ = 0;     ///< conflict count of the next pass
   std::int64_t inprocess_backoff_ = 0;  ///< current inter-pass interval
 
@@ -439,6 +442,23 @@ class Solver {
   bool finish_hints();
   bool chain_hints(std::span<const Lit> lemma, CRef confl);
   void log_level0_conflict(CRef confl);
+
+  // Model reconstruction, declared after the hint state for the same
+  // reason: the search loop never touches it.
+  /// One group per elimination, in elimination order: the eliminated
+  /// variable's saved clauses are elim_saved_[first, split) (positive
+  /// side) and [split, last) (negative side). extend_model() replays the
+  /// groups backward, each from the default value `unit` and then over
+  /// the smaller side, which `unit` names: a positive unit means the
+  /// negative side was the smaller one (MiniSat SimpSolver order).
+  struct ElimGroup {
+    Lit unit;
+    std::uint32_t first;
+    std::uint32_t split;
+    std::uint32_t last;
+  };
+  std::vector<ElimGroup> elim_groups_;
+  std::vector<std::uint32_t> elim_group_of_;  ///< by variable
 };
 
 }  // namespace optalloc::sat

@@ -7,13 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "alloc/encoder.hpp"
+#include "alloc/io.hpp"
 #include "check/drat.hpp"
 #include "sat/clause.hpp"
 #include "sat/inprocess.hpp"
 #include "sat/proof.hpp"
 #include "sat/solver.hpp"
+#include "workload/tindell.hpp"
 
 namespace optalloc::sat {
 namespace {
@@ -341,6 +345,138 @@ TEST(Inprocess, PassCountersAndBackoffAdvance) {
   }
   ASSERT_EQ(s.solve(), LBool::kTrue);
   EXPECT_GE(s.stats().inprocess_passes, 1u);
+}
+
+TEST(Inprocess, VivifiedClausesCarryHints) {
+  // Each way vivification shortens a clause is logged with a hint chain,
+  // so strict checking verifies every lemma of the run by its chain and
+  // none by RUP:
+  //   (a|b|x):  probing ~a, ~b makes x false through (a|b|~x) — only false
+  //             literals drop, and the chain closes on the clause itself;
+  //   (p|q|r):  probing ~p makes q true through (p|q) — the chain closes
+  //             on q's reason;
+  //   (e|f|g):  probing ~e conflicts on (e|y), (e|~y) — the chain closes
+  //             on the conflict, and the result is the unit e.
+  Solver s;
+  ProofLog log;
+  s.set_proof(&log);
+  const Var a = s.new_var(), b = s.new_var(), x = s.new_var();
+  const Var p = s.new_var(), q = s.new_var(), r = s.new_var();
+  const Var e = s.new_var(), f = s.new_var(), g = s.new_var(),
+            y = s.new_var();
+  ASSERT_TRUE(s.add_ternary(pos(a), pos(b), pos(x)));
+  ASSERT_TRUE(s.add_ternary(pos(a), pos(b), neg(x)));
+  ASSERT_TRUE(s.add_ternary(pos(p), pos(q), pos(r)));
+  ASSERT_TRUE(s.add_binary(pos(p), pos(q)));
+  ASSERT_TRUE(s.add_ternary(pos(e), pos(f), pos(g)));
+  ASSERT_TRUE(s.add_binary(pos(e), pos(y)));
+  ASSERT_TRUE(s.add_binary(pos(e), neg(y)));
+
+  InprocessLimits limits;
+  limits.subsume_clause_max = 0;  // disable subsumption
+  limits.bve_occ_max = 0;         // disable elimination
+  limits.vivify_irredundant = true;
+  Inprocessor pass(s, limits);
+  ASSERT_TRUE(pass.run());
+  // (a|b|~x) stays: the first probes moved its watches, so it is probed
+  // from ~x and keeps all three literals.
+  EXPECT_EQ(s.stats().strengthened_clauses, 3u);
+  EXPECT_EQ(s.value(pos(e)), LBool::kTrue);
+
+  s.add_clause(std::vector<Lit>{neg(a)});
+  s.add_clause(std::vector<Lit>{neg(b)});  // falsifies (a|b)
+  EXPECT_EQ(s.solve(), LBool::kFalse);
+  const check::DratResult res = check::check_proof_all(log);
+  EXPECT_TRUE(res.ok) << res.error;
+  EXPECT_GT(res.hinted_checked, 0u);
+  EXPECT_EQ(res.rup_checked, 0u);
+}
+
+TEST(Inprocess, ManyRestoresThroughAssumptions) {
+  // Hundreds of eliminated variables come back through assumptions on one
+  // solver. Each chain (a|m), (~m|b), (~a|~b|c) loses its middle variable
+  // m (a, b and c are frozen), and every model after the restores must
+  // still satisfy each original clause — the restored ones and those
+  // whose variables stay eliminated — while the proof of the final UNSAT
+  // answer checks.
+  Solver s;
+  ProofLog log;
+  s.set_proof(&log);
+  constexpr int kChains = 400;
+  std::vector<std::vector<Lit>> original;
+  std::vector<Var> middle;
+  for (int i = 0; i < kChains; ++i) {
+    const Var a = s.new_var(), m = s.new_var(), b = s.new_var(),
+              c = s.new_var();
+    s.set_frozen(a);
+    s.set_frozen(b);
+    s.set_frozen(c);
+    middle.push_back(m);
+    original.push_back({pos(a), pos(m)});
+    original.push_back({neg(m), pos(b)});
+    original.push_back({neg(a), neg(b), pos(c)});
+  }
+  for (const auto& c : original) ASSERT_TRUE(s.add_clause(c));
+
+  Inprocessor pass(s);
+  ASSERT_TRUE(pass.run());
+  for (const Var m : middle) ASSERT_TRUE(s.is_eliminated(m));
+
+  auto check_model = [&] {
+    for (const auto& c : original) {
+      ASSERT_TRUE(model_satisfies(s, c));
+    }
+  };
+  // Restore three quarters of them, alternating polarities.
+  constexpr std::size_t kRestored = 3 * kChains / 4;
+  std::vector<Lit> assumptions;
+  for (std::size_t i = 0; i < kRestored; ++i) {
+    assumptions.push_back(i % 2 == 0 ? pos(middle[i]) : neg(middle[i]));
+  }
+  ASSERT_EQ(s.solve(assumptions), LBool::kTrue);
+  EXPECT_EQ(s.stats().restored_vars, kRestored);
+  check_model();
+  for (std::size_t i = 0; i < middle.size(); ++i) {
+    EXPECT_EQ(s.is_eliminated(middle[i]), i >= kRestored);
+  }
+  // A second round over the same variables restores nothing more.
+  for (Lit& l : assumptions) l = ~l;
+  ASSERT_EQ(s.solve(assumptions), LBool::kTrue);
+  EXPECT_EQ(s.stats().restored_vars, kRestored);
+  check_model();
+
+  // A unit over a still-eliminated variable restores it too; then the
+  // units ~a0 and ~m0 falsify the restored (a0 | m0).
+  s.add_clause(std::vector<Lit>{neg(middle.back())});
+  EXPECT_FALSE(s.is_eliminated(middle.back()));
+  s.add_clause(std::vector<Lit>{neg(original[0][0].var())});
+  s.add_clause(std::vector<Lit>{neg(middle[0])});
+  EXPECT_EQ(s.solve(), LBool::kFalse);
+  const check::DratResult res = check::check_proof_all(log);
+  EXPECT_TRUE(res.ok) << res.error;
+}
+
+TEST(Inprocess, PaperEncodingPassIsStable) {
+  // One pass over the encoding of the 8-task Tindell prefix. Which
+  // variables BVE eliminates and which clauses survive decide the search
+  // that follows, so any rewrite of the pass's data structures must
+  // reproduce these counts exactly; the state it leaves must also pass
+  // the auditor (every watcher names a live clause watched on its first
+  // two literals).
+  const alloc::Problem problem = workload::tindell_prefix(8);
+  alloc::AllocEncoder enc(problem, alloc::parse_objective("trt:0"));
+  ASSERT_TRUE(enc.build());
+  Solver& s = enc.solver();
+  Inprocessor pass(s);
+  ASSERT_TRUE(pass.run());
+  EXPECT_EQ(s.stats().eliminated_vars, 5035u);
+  EXPECT_EQ(s.stats().subsumed_clauses, 297u);
+  EXPECT_EQ(s.stats().strengthened_clauses, 191u);
+  EXPECT_EQ(s.num_clauses(), 25342);
+  EXPECT_EQ(s.num_literals(), 78171u);
+  std::vector<std::string> problems;
+  EXPECT_TRUE(s.audit(&problems))
+      << (problems.empty() ? std::string() : problems.front());
 }
 
 // -- Arena accounting -----------------------------------------------------
