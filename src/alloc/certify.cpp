@@ -3,7 +3,7 @@
 #include "alloc/cost.hpp"
 #include "check/drat.hpp"
 #include "check/model.hpp"
-#include "obs/trace.hpp"
+#include "obs/events.hpp"
 #include "rt/verify.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
@@ -42,11 +42,9 @@ void Certifier::model(AllocEncoder& enc, std::optional<std::int64_t> lo,
   } else {
     fail("model: " + err);
   }
-  if (obs::trace_enabled()) {
-    obs::TraceEvent e("certify");
-    e.str("kind", "model").boolean("ok", ok);
-    if (!ok) e.str("error", err);
-  }
+  obs::Event e(obs::ev::certify);
+  e.str("kind", "model").boolean("ok", ok);
+  if (!ok) e.str("error", err);
 }
 
 void Certifier::note_unsat(const sat::ProofLog* log) {
@@ -70,14 +68,12 @@ void Certifier::proof(const sat::ProofLog& log) {
   } else {
     fail("proof: " + dr.error);
   }
-  if (obs::trace_enabled()) {
-    obs::TraceEvent e("certify");
-    e.str("kind", "proof")
-        .boolean("ok", dr.ok)
-        .num("lemmas", static_cast<std::int64_t>(dr.lemmas_checked))
-        .num("theory", static_cast<std::int64_t>(dr.theory_checked));
-    if (!dr.ok) e.str("error", dr.error);
-  }
+  obs::Event e(obs::ev::certify);
+  e.str("kind", "proof")
+      .boolean("ok", dr.ok)
+      .num("lemmas", static_cast<std::int64_t>(dr.lemmas_checked))
+      .num("theory", static_cast<std::int64_t>(dr.theory_checked));
+  if (!dr.ok) e.str("error", dr.error);
 }
 
 void Certifier::allocation() {
@@ -102,11 +98,9 @@ void Certifier::allocation() {
   }
   result_.stats.certify_seconds += sw.seconds();
   if (!ok) fail("allocation: " + err);
-  if (obs::trace_enabled()) {
-    obs::TraceEvent e("certify");
-    e.str("kind", "allocation").boolean("ok", ok);
-    if (!ok) e.str("error", err);
-  }
+  obs::Event e(obs::ev::certify);
+  e.str("kind", "allocation").boolean("ok", ok);
+  if (!ok) e.str("error", err);
 }
 
 }  // namespace optalloc::alloc

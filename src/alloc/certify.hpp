@@ -30,6 +30,8 @@ class Certifier {
         objective_(objective),
         enabled_(enabled),
         result_(result) {}
+  /// The certifier keeps a reference to the problem: no temporaries.
+  Certifier(Problem&&, Objective, bool, OptimizeResult&) = delete;
 
   /// Check the model `enc` just found, and that its cost lies in [lo, hi].
   void model(AllocEncoder& enc, std::optional<std::int64_t> lo,

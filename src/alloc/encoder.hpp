@@ -107,6 +107,11 @@ class AllocEncoder {
   AllocEncoder(const Problem& problem, Objective objective,
                EncoderConfig config, EncoderBackend& backend);
 
+  /// The encoder keeps a reference to the problem, so a temporary would
+  /// dangle before build() reads it.
+  AllocEncoder(Problem&&, Objective, EncoderConfig = {}) = delete;
+  AllocEncoder(Problem&&, Objective, EncoderConfig, EncoderBackend&) = delete;
+
   /// Build and assert the full constraint system. Returns false if the
   /// instance is unsatisfiable already at encode time.
   bool build();

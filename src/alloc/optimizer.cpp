@@ -6,9 +6,8 @@
 
 #include "alloc/certify.hpp"
 #include "alloc/cost.hpp"
-#include "obs/flight.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sat/proof.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
@@ -135,17 +134,11 @@ OptimizeResult search(const Problem& problem, Objective objective,
   std::uint64_t conflicts_seen = 0;
 
   // Anytime progress: invoked after the initial solution and after every
-  // interval-narrowing SOLVE; mirrored as an "interval" trace event and
-  // a flight-recorder note (so a post-mortem shows the proven interval).
+  // interval-narrowing SOLVE; mirrored as an "interval" event, which the
+  // flight recorder keeps too (so a post-mortem shows the proven interval).
   auto report_progress = [&](std::int64_t lower, std::int64_t upper) {
-    if (obs::flight_enabled()) {
-      obs::FlightNote("interval")
-          .num("lower", lower)
-          .num("upper", upper)
-          .num("sat_calls", result.stats.sat_calls);
-    }
-    if (obs::trace_enabled()) {
-      obs::TraceEvent e("interval");
+    {
+      obs::Event e(obs::ev::interval);
       e.num("lower", lower).num("upper", upper);
       if (result.has_allocation) e.num("incumbent", result.cost);
       e.num("sat_calls", result.stats.sat_calls);
@@ -191,23 +184,17 @@ OptimizeResult search(const Problem& problem, Objective objective,
       ++result.stats.sat_calls_unsat;
       cert.note_unsat(enc.solver().proof());
     }
-    if (obs::flight_enabled()) {
-      // Numeric result code (flight records carry numbers only):
-      // 1 = SAT, 0 = UNSAT, -1 = budget exhausted.
-      obs::FlightNote("solve")
-          .num("call", result.stats.sat_calls)
-          .num("result", verdict == sat::LBool::kTrue    ? 1
-                         : verdict == sat::LBool::kFalse ? 0
-                                                         : -1)
-          .num("conflicts", call_conflicts)
-          .num("seconds", secs);
-    }
-    if (obs::trace_enabled()) {
-      obs::TraceEvent e("solve");
+    {
+      obs::Event e(obs::ev::solve);
       e.num("call", result.stats.sat_calls);
       if (lo) e.num("lo", *lo);
       if (hi) e.num("hi", *hi);
-      e.str("result", verdict_name(verdict))
+      // The ring stores the verdict as 1 = SAT, 0 = UNSAT, -1 = budget
+      // exhausted.
+      e.choice("result", verdict_name(verdict),
+               verdict == sat::LBool::kTrue    ? 1
+               : verdict == sat::LBool::kFalse ? 0
+                                               : -1)
           .num("conflicts", call_conflicts)
           .num("seconds", secs);
     }
@@ -216,7 +203,7 @@ OptimizeResult search(const Problem& problem, Objective objective,
 
   auto trace_optimum = [&] {
     if (!obs::trace_enabled()) return;
-    obs::TraceEvent e("optimum");
+    obs::Event e(obs::ev::optimum);
     e.str("status", result.status_string());
     if (result.has_allocation) e.num("cost", result.cost);
     e.num("lower", result.lower_bound)

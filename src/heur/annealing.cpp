@@ -5,8 +5,8 @@
 
 #include "heur/common.hpp"
 #include "net/paths.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "rt/verify.hpp"
 #include "util/rng.hpp"
 
@@ -48,14 +48,12 @@ class AnnealTelemetry {
     obs::add(accepted, result_.accepted_moves);
     if (result_.feasible) obs::add(feasible, 1);
     obs::record(t_total, seconds);
-    if (obs::trace_enabled()) {
-      obs::TraceEvent e("anneal");
-      e.boolean("feasible", result_.feasible);
-      if (result_.feasible) e.num("cost", result_.cost);
-      e.num("iterations", result_.iterations_run)
-          .num("accepted", result_.accepted_moves)
-          .num("seconds", seconds);
-    }
+    obs::Event e(obs::ev::anneal);
+    e.boolean("feasible", result_.feasible);
+    if (result_.feasible) e.num("cost", result_.cost);
+    e.num("iterations", result_.iterations_run)
+        .num("accepted", result_.accepted_moves)
+        .num("seconds", seconds);
   }
 
  private:

@@ -222,11 +222,9 @@ void flight_reset() {
   }
 }
 
-FlightNote::FlightNote(const char* type)
-    : type_(type), active_(flight_enabled()) {}
-
-FlightNote::~FlightNote() {
-  if (!active_) return;
+void detail::flight_commit(const char* type, std::uint64_t req,
+                           const char* const* keys, const double* values,
+                           int n) {
   Ring* ring = this_ring();
   if (ring == nullptr) return;  // more than kFlightMaxRings threads
   const std::uint64_t i = ring->head.load(std::memory_order_relaxed);
@@ -236,13 +234,13 @@ FlightNote::~FlightNote() {
   // store: a dumper can then never pair fresh payload with a stale even
   // seq (the torn-read case the seqlock exists to detect).
   std::atomic_thread_fence(std::memory_order_release);
-  s.type.store(type_, std::memory_order_relaxed);
+  s.type.store(type, std::memory_order_relaxed);
   s.ts_ns.store(monotonic_ns(), std::memory_order_relaxed);
-  s.req.store(current_context().req, std::memory_order_relaxed);
-  s.nfields.store(n_, std::memory_order_relaxed);
-  for (int j = 0; j < n_; ++j) {
-    s.keys[j].store(keys_[j], std::memory_order_relaxed);
-    s.vals[j].store(vals_[j], std::memory_order_relaxed);
+  s.req.store(req, std::memory_order_relaxed);
+  s.nfields.store(n, std::memory_order_relaxed);
+  for (int j = 0; j < n; ++j) {
+    s.keys[j].store(keys[j], std::memory_order_relaxed);
+    s.vals[j].store(values[j], std::memory_order_relaxed);
   }
   s.seq.store(2 * i + 2, std::memory_order_release);
   ring->head.store(i + 1, std::memory_order_release);

@@ -21,11 +21,12 @@
 //   3. Rings outlive their threads: a worker that exited (or crashed)
 //      still has its last records available to the post-mortem.
 //
-// Records are numeric-only: a static-storage type string plus up to
-// kFlightFields (key, value) pairs where every key must also be a string
-// literal (the ring stores the pointers, not copies). This is what keeps
-// recording allocation-free; it covers every solver/optimizer telemetry
-// event (search_sample, interval, solve, restart), which are numbers.
+// Records are written by obs::Event (obs/events.hpp) for the kinds that
+// obs/events.def marks `ring` — search_sample, interval, solve and
+// inprocess_pass. They are numeric-only: a static-storage type string plus
+// up to kFlightFields (key, value) pairs whose keys are string literals
+// (the ring stores the pointers, not copies). This is what keeps
+// recording allocation-free.
 
 #include <atomic>
 #include <cstddef>
@@ -35,7 +36,7 @@
 namespace optalloc::obs {
 
 inline constexpr std::size_t kFlightCapacity = 256;  ///< records per thread
-inline constexpr int kFlightFields = 8;              ///< numeric fields/record
+inline constexpr int kFlightFields = 10;             ///< numeric fields/record
 inline constexpr std::size_t kFlightMaxRings = 256;  ///< recording threads
 
 namespace detail {
@@ -56,46 +57,13 @@ void set_flight(bool on);
 /// thread bindings survive). Not signal-safe.
 void flight_reset();
 
-/// One flight record under construction. Usage mirrors TraceEvent:
-///
-///   obs::FlightNote("search_sample").num("conflicts", c).num("trail", t);
-///
-/// The destructor commits the record to the calling thread's ring.
-/// `type` and every `key` MUST be string literals (static storage): the
-/// ring keeps the pointers. Fields beyond kFlightFields are dropped.
-/// No-op when flight_enabled() is false at construction.
-class FlightNote {
- public:
-  explicit FlightNote(const char* type);
-  ~FlightNote();
-  FlightNote(const FlightNote&) = delete;
-  FlightNote& operator=(const FlightNote&) = delete;
-
-  FlightNote& num(const char* key, double value) {
-    if (active_ && n_ < kFlightFields) {
-      keys_[n_] = key;
-      vals_[n_] = value;
-      ++n_;
-    }
-    return *this;
-  }
-  FlightNote& num(const char* key, std::int64_t value) {
-    return num(key, static_cast<double>(value));
-  }
-  FlightNote& num(const char* key, std::uint64_t value) {
-    return num(key, static_cast<double>(value));
-  }
-  FlightNote& num(const char* key, int value) {
-    return num(key, static_cast<double>(value));
-  }
-
- private:
-  const char* type_ = nullptr;
-  const char* keys_[kFlightFields] = {};
-  double vals_[kFlightFields] = {};
-  int n_ = 0;
-  bool active_ = false;
-};
+namespace detail {
+/// Commit one record to the calling thread's ring (obs::Event's ring
+/// half). `type` and every key must have static storage: the ring keeps
+/// the pointers. Not signal-safe to call, allocation-free.
+void flight_commit(const char* type, std::uint64_t req,
+                   const char* const* keys, const double* values, int n);
+}  // namespace detail
 
 /// Render the merged rings as a JSON array "[{...},{...}]" of event
 /// objects sorted by timestamp. `req` != 0 keeps only records carrying

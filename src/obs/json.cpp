@@ -242,22 +242,22 @@ class Parser {
   }
 
   bool array(JsonValue& out) {
-    if (!eat('[')) return false;
+    if (!eat('[') || !enter()) return false;
     out.kind = JsonValue::Kind::kArray;
-    if (eat(']')) return true;
+    if (eat(']')) return leave();
     for (;;) {
       JsonValue elem;
       if (!value(elem)) return false;
       out.array.push_back(std::move(elem));
-      if (eat(']')) return true;
+      if (eat(']')) return leave();
       if (!eat(',')) return false;
     }
   }
 
   bool object(JsonValue& out) {
-    if (!eat('{')) return false;
+    if (!eat('{') || !enter()) return false;
     out.kind = JsonValue::Kind::kObject;
-    if (eat('}')) return true;
+    if (eat('}')) return leave();
     for (;;) {
       std::string k;
       skip_ws();
@@ -266,13 +266,23 @@ class Parser {
       JsonValue v;
       if (!value(v)) return false;
       out.object.emplace(std::move(k), std::move(v));
-      if (eat('}')) return true;
+      if (eat('}')) return leave();
       if (!eat(',')) return false;
     }
   }
 
+  // Nesting bound: every level is a recursive call here and in
+  // ~JsonValue, so an unbounded "[[[[..." line would overflow the stack.
+  bool enter() { return ++depth_ <= kMaxDepth; }
+  bool leave() {
+    --depth_;
+    return true;
+  }
+
+  static constexpr int kMaxDepth = 256;
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

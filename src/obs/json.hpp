@@ -72,8 +72,8 @@ struct JsonValue {
   std::optional<double> get_number(std::string_view key) const;
 };
 
-/// Parse a complete JSON document. Returns nullopt on any syntax error or
-/// trailing garbage.
+/// Parse a complete JSON document. Returns nullopt on any syntax error,
+/// trailing garbage, or arrays/objects nested more than 256 deep.
 std::optional<JsonValue> json_parse(std::string_view text);
 
 }  // namespace optalloc::obs

@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "obs/json.hpp"
-#include "obs/trace.hpp"
 
 #ifdef __linux__
 #include <linux/perf_event.h>
@@ -148,26 +147,6 @@ std::string perf_json(const PerfCounts& c) {
   put("cache_misses", c.cache_misses);
   put("branch_misses", c.branch_misses);
   return o.build();
-}
-
-PerfSpan::PerfSpan(const char* name) : name_(name), start_(perf_read()) {}
-
-PerfCounts PerfSpan::delta() const {
-  return perf_delta(perf_read(), start_);
-}
-
-PerfSpan::~PerfSpan() {
-  if (!start_.available || !trace_enabled()) return;
-  const PerfCounts d = delta();
-  // Absent siblings emit -1 (trace events have no null); consumers treat
-  // negative counters as unavailable.
-  TraceEvent("perf_counters")
-      .str("name", name_)
-      .num("cycles", d.cycles)
-      .num("instructions", d.instructions)
-      .num("cache_references", d.cache_references)
-      .num("cache_misses", d.cache_misses)
-      .num("branch_misses", d.branch_misses);
 }
 
 }  // namespace optalloc::obs

@@ -11,9 +11,9 @@
 // perf_event_paranoid settings, or when OPTALLOC_NO_PERFCTR is set in
 // the environment, every call keeps working — perf_available() is false,
 // reads return {available:false}, perf_json() renders well-formed nulls,
-// and PerfSpan emits nothing. Individual siblings that fail to open
-// (e.g. cache counters on VMs without a PMU event for them) degrade to
-// -1 / null while the rest of the group keeps counting.
+// and obs::Span emits no "perf_counters" event. Individual siblings that
+// fail to open (e.g. cache counters on VMs without a PMU event for them)
+// degrade to -1 / null while the rest of the group keeps counting.
 
 #include <cstdint>
 #include <string>
@@ -46,25 +46,5 @@ PerfCounts perf_delta(const PerfCounts& a, const PerfCounts& b);
 /// {"cycles":N,...} with JSON null for absent counters — the "well-formed
 /// nulls" contract for bench JSON on perf-less hosts.
 std::string perf_json(const PerfCounts& c);
-
-/// RAII sampling window: snapshots the thread's counters at construction;
-/// delta() is the consumption since then. The destructor emits a
-/// "perf_counters" trace event (name + deltas) when tracing is on and the
-/// group is available — this is how encode/SOLVE/certify spans get their
-/// hardware profile. Costs two read(2) calls per span when available,
-/// nothing otherwise.
-class PerfSpan {
- public:
-  explicit PerfSpan(const char* name);
-  ~PerfSpan();
-  PerfSpan(const PerfSpan&) = delete;
-  PerfSpan& operator=(const PerfSpan&) = delete;
-
-  PerfCounts delta() const;
-
- private:
-  const char* name_;
-  PerfCounts start_;
-};
 
 }  // namespace optalloc::obs

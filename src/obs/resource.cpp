@@ -5,7 +5,7 @@
 #include <map>
 #include <stdexcept>
 
-#include "obs/trace.hpp"
+#include "obs/events.hpp"
 #include "util/mutex.hpp"
 
 namespace optalloc::obs {
@@ -207,7 +207,7 @@ void check_resource_watermarks() {
     }
   }
   for (const Crossing& c : crossings) {
-    TraceEvent("resource_watermark")
+    Event(ev::resource_watermark)
         .str("resource", c.name)
         .str("level", c.above ? "high" : "normal")
         .num("bytes", c.bytes)

@@ -4,6 +4,7 @@
 #include <memory>
 #include <ostream>
 
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "util/mutex.hpp"
 
@@ -58,26 +59,18 @@ Span::Span(std::string_view name) {
   active_ = true;
   name_ = name;
   prev_ = t_context;
-  SpanContext ctx;
-  ctx.req = prev_.req;
-  ctx.span = next_span_id();
-  ctx.parent = prev_.span;
-  t_context = ctx;
+  t_context = {prev_.req, span_begin_event(name_, prev_), prev_.span};
   start_ns_ = monotonic_ns();
   perf_start_ = perf_read();
-  TraceEvent("span_begin", ctx)
-      .str("name", name_)
-      .num("parent", ctx.parent);
 }
 
 Span::~Span() {
   if (!active_) return;
-  const SpanContext ctx = t_context;
   if (perf_start_.available) {
     const PerfCounts d = perf_delta(perf_read(), perf_start_);
     // Absent siblings emit -1 (trace events have no null); consumers
     // treat negative counters as unavailable.
-    TraceEvent("perf_counters", ctx)
+    Event(ev::perf_counters)
         .str("name", name_)
         .num("cycles", d.cycles)
         .num("instructions", d.instructions)
@@ -85,11 +78,8 @@ Span::~Span() {
         .num("cache_misses", d.cache_misses)
         .num("branch_misses", d.branch_misses);
   }
-  TraceEvent("span_end", ctx)
-      .str("name", name_)
-      .num("parent", ctx.parent)
-      .num("seconds",
-           static_cast<double>(monotonic_ns() - start_ns_) * 1e-9);
+  span_end_event(name_, prev_, t_context.span,
+                 static_cast<double>(monotonic_ns() - start_ns_) * 1e-9);
   t_context = prev_;
 }
 
@@ -100,7 +90,7 @@ std::uint64_t span_begin_event(std::string_view name,
   child.span = next_span_id();
   child.parent = ctx.span;
   if (trace_enabled()) {
-    TraceEvent("span_begin", child)
+    Event(ev::span_begin, child)
         .str("name", name)
         .num("parent", child.parent);
   }
@@ -114,7 +104,7 @@ void span_end_event(std::string_view name, const SpanContext& ctx,
   child.req = ctx.req;
   child.span = span_id;
   child.parent = ctx.span;
-  TraceEvent("span_end", child)
+  Event(ev::span_end, child)
       .str("name", name)
       .num("parent", child.parent)
       .num("seconds", seconds);
@@ -159,22 +149,26 @@ void trace_close() {
   s.out = nullptr;
 }
 
-TraceEvent::TraceEvent(std::string_view type)
-    : TraceEvent(type, t_context) {}
-
-TraceEvent::TraceEvent(std::string_view type, const SpanContext& ctx) {
-  obj_.str("type", type);
-  obj_.num("ts", static_cast<double>(monotonic_ns() - sink().epoch_ns.load(std::memory_order_relaxed)) * 1e-9);
-  obj_.num("tid", static_cast<std::int64_t>(thread_ordinal()));
-  if (ctx.req != 0) obj_.num("req", static_cast<std::int64_t>(ctx.req));
-  if (ctx.span != 0) obj_.num("span", static_cast<std::int64_t>(ctx.span));
+Event::Event(EventKind kind, const SpanContext& ctx)
+    : type_(event_info(kind).name),
+      req_(ctx.req),
+      ring_(event_info(kind).ring && flight_enabled()) {
+  if (!trace_enabled()) return;
+  JsonObject& o = trace_.emplace();
+  o.str("type", type_);
+  o.num("ts", static_cast<double>(monotonic_ns() - sink().epoch_ns.load(std::memory_order_relaxed)) * 1e-9);
+  o.num("tid", static_cast<std::int64_t>(thread_ordinal()));
+  if (ctx.req != 0) o.num("req", static_cast<std::int64_t>(ctx.req));
+  if (ctx.span != 0) o.num("span", static_cast<std::int64_t>(ctx.span));
 }
 
-TraceEvent::~TraceEvent() {
+Event::~Event() {
+  if (ring_) detail::flight_commit(type_, req_, keys_, values_, n_);
+  if (!trace_) return;
   Sink& s = sink();
   util::MutexLock lock(s.mutex);
   if (s.out == nullptr) return;
-  *s.out << obj_.build() << '\n';
+  *s.out << trace_->build() << '\n';
 }
 
 }  // namespace optalloc::obs

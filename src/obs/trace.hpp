@@ -15,13 +15,13 @@
 // session solve installs its session's context; RAII Span delimits phases
 // (encode, SOLVE steps, cache lookup) with span_begin/span_end events.
 //
-// Cost model: every producer site is guarded by `if (obs::trace_enabled())`
-// — a single relaxed atomic load when tracing is off, which is the default.
-// Event construction (string building, clock reads) only happens inside
-// the guard. Span/ContextScope are plain thread-local stores when tracing
-// is off.
+// Events are emitted with obs::Event (obs/events.hpp); the vocabulary is
+// declared once, in obs/events.def.
 //
-// The event vocabulary is documented in README.md ("Observability").
+// Cost model: trace_enabled() is a single relaxed atomic load, and tracing
+// is off by default. An Event builds no JSON while it is off; producer
+// sites that compute a payload only for the trace still guard on it.
+// Span/ContextScope are plain thread-local stores when tracing is off.
 
 #include <atomic>
 #include <cstdint>
@@ -29,7 +29,6 @@
 #include <string>
 #include <string_view>
 
-#include "obs/json.hpp"
 #include "obs/perfctr.hpp"
 
 namespace optalloc::obs {
@@ -125,49 +124,5 @@ class Span {
 std::uint64_t span_begin_event(std::string_view name, const SpanContext& ctx);
 void span_end_event(std::string_view name, const SpanContext& ctx,
                     std::uint64_t span_id, double seconds);
-
-/// One trace event. Builds the JSON object in a local buffer; the
-/// destructor writes the finished line. Standard fields are filled by the
-/// constructor; "req"/"span" are appended from the thread's SpanContext
-/// (or an explicit one) when non-zero.
-class TraceEvent {
- public:
-  explicit TraceEvent(std::string_view type);
-  TraceEvent(std::string_view type, const SpanContext& ctx);
-  ~TraceEvent();
-  TraceEvent(const TraceEvent&) = delete;
-  TraceEvent& operator=(const TraceEvent&) = delete;
-
-  TraceEvent& str(std::string_view key, std::string_view value) {
-    obj_.str(key, value);
-    return *this;
-  }
-  TraceEvent& num(std::string_view key, std::int64_t value) {
-    obj_.num(key, value);
-    return *this;
-  }
-  TraceEvent& num(std::string_view key, double value) {
-    obj_.num(key, value);
-    return *this;
-  }
-  TraceEvent& num(std::string_view key, int value) {
-    return num(key, static_cast<std::int64_t>(value));
-  }
-  TraceEvent& num(std::string_view key, std::uint64_t value) {
-    return num(key, static_cast<std::int64_t>(value));
-  }
-  TraceEvent& boolean(std::string_view key, bool value) {
-    obj_.boolean(key, value);
-    return *this;
-  }
-  /// Embed pre-rendered JSON (e.g. a metrics snapshot) verbatim.
-  TraceEvent& raw(std::string_view key, std::string_view json) {
-    obj_.raw(key, json);
-    return *this;
-  }
-
- private:
-  JsonObject obj_;
-};
 
 }  // namespace optalloc::obs

@@ -7,9 +7,8 @@
 #include <utility>
 #include <vector>
 
-#include "obs/flight.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sat/proof.hpp"
 #include "sat/solver.hpp"
 
@@ -799,20 +798,12 @@ void Inprocessor::emit_telemetry(double seconds, std::size_t words_freed) {
   obs::add(eliminated, static_cast<std::int64_t>(eliminated_));
   obs::add(reclaimed, static_cast<std::int64_t>(words_freed));
 
-  obs::FlightNote("inprocess_pass")
+  obs::Event(obs::ev::inprocess_pass)
       .num("subsumed", static_cast<std::int64_t>(subsumed_))
       .num("strengthened", static_cast<std::int64_t>(strengthened_))
       .num("eliminated", static_cast<std::int64_t>(eliminated_))
       .num("reclaimed_words", static_cast<std::int64_t>(words_freed))
       .num("seconds", seconds);
-  if (obs::trace_enabled()) {
-    obs::TraceEvent("inprocess_pass")
-        .num("subsumed", static_cast<std::int64_t>(subsumed_))
-        .num("strengthened", static_cast<std::int64_t>(strengthened_))
-        .num("eliminated", static_cast<std::int64_t>(eliminated_))
-        .num("reclaimed_words", static_cast<std::int64_t>(words_freed))
-        .num("seconds", seconds);
-  }
 }
 
 // --- Solver-side scheduling and model reconstruction ---------------------

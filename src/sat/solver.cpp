@@ -5,9 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/flight.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sat/proof.hpp"
 #include "util/luby.hpp"
 
@@ -572,7 +571,7 @@ void Solver::garbage_collect() {
   ++stats_.gc_runs;
   sync_resource_usage();
   if (obs::trace_enabled()) {
-    obs::TraceEvent("solver_gc")
+    obs::Event(obs::ev::solver_gc)
         .num("gc_runs", stats_.gc_runs)
         .num("arena_before", static_cast<std::int64_t>(before))
         .num("arena_after", static_cast<std::int64_t>(arena_.size()));
@@ -716,7 +715,7 @@ LBool Solver::search(std::int64_t conflicts_before_restart) {
         ++stats_.restarts;
         if (obs::trace_enabled() &&
             conflict_count >= conflicts_before_restart) {
-          obs::TraceEvent("solver_restart")
+          obs::Event(obs::ev::solver_restart)
               .num("restarts", stats_.restarts)
               .num("conflicts", stats_.conflicts)
               .num("learnts", num_learnts());
@@ -799,29 +798,17 @@ void Solver::emit_search_sample(bool final_sample) {
   const std::int64_t trail = static_cast<std::int64_t>(trail_.size());
   const std::int64_t learnts = num_learnts();
 
-  if (obs::flight_enabled()) {
-    obs::FlightNote("search_sample")
-        .num("conflicts", stats_.conflicts)
-        .num("restarts", stats_.restarts)
-        .num("trail", trail)
-        .num("learnts", learnts)
-        .num("props_per_sec", props_per_sec)
-        .num("conflicts_per_sec", conflicts_per_sec)
-        .num("lbd_mean", lbd_mean);
-  }
-  if (obs::trace_enabled()) {
-    obs::TraceEvent("search_sample")
-        .num("conflicts", stats_.conflicts)
-        .num("propagations", stats_.propagations)
-        .num("decisions", stats_.decisions)
-        .num("restarts", stats_.restarts)
-        .num("trail", trail)
-        .num("learnts", learnts)
-        .num("props_per_sec", props_per_sec)
-        .num("conflicts_per_sec", conflicts_per_sec)
-        .num("lbd_mean", lbd_mean)
-        .boolean("final", final_sample);
-  }
+  obs::Event(obs::ev::search_sample)
+      .num("conflicts", stats_.conflicts)
+      .num("propagations", stats_.propagations)
+      .num("decisions", stats_.decisions)
+      .num("restarts", stats_.restarts)
+      .num("trail", trail)
+      .num("learnts", learnts)
+      .num("props_per_sec", props_per_sec)
+      .num("conflicts_per_sec", conflicts_per_sec)
+      .num("lbd_mean", lbd_mean)
+      .boolean("final", final_sample);
   // Live gauges behind the service's `metrics` verb: last-writer-wins
   // across concurrent solvers, which is the intended "what is the search
   // doing right now" semantics.

@@ -8,12 +8,12 @@
 
 #include "alloc/cost.hpp"
 #include "alloc/optimizer.hpp"
-#include "obs/json.hpp"
 #include "heur/annealing.hpp"
+#include "obs/events.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 #include "rt/verify.hpp"
 #include "svc/protocol.hpp"
 
@@ -130,7 +130,7 @@ void flight_postmortem(const std::string& id, std::uint64_t req,
   if (!obs::trace_enabled()) return;
   std::size_t n = 0;
   const std::string events = obs::flight_dump_events(req, &n);
-  obs::TraceEvent("flight_dump")
+  obs::Event(obs::ev::flight_dump)
       .str("id", id)
       .str("reason", reason)
       .num("count", static_cast<std::int64_t>(n))
@@ -226,7 +226,7 @@ std::optional<std::string> Scheduler::submit(JobRequest request) {
   obs::ContextScope ctx_scope(job->ctx);
   obs::add(metrics().requests);
   if (obs::trace_enabled()) {
-    obs::TraceEvent("request_received")
+    obs::Event(obs::ev::request_received)
         .str("id", job->id)
         .str("objective", job->request.objective.describe())
         .num("deadline_ms", job->request.deadline_s * 1000.0)
@@ -243,9 +243,7 @@ std::optional<std::string> Scheduler::submit(JobRequest request) {
   }
   if (hit) {
     obs::add(metrics().cache_hits);
-    if (obs::trace_enabled()) {
-      obs::TraceEvent("cache_hit").str("id", job->id);
-    }
+    obs::Event(obs::ev::cache_hit).str("id", job->id);
     JobAnswer answer;
     answer.cached = true;
     answer.proven_optimal = true;
@@ -397,7 +395,7 @@ std::optional<std::pair<std::string, SessionAnswer>> Scheduler::session_open(
   {
     obs::ContextScope ctx_scope(entry->ctx);
     if (obs::trace_enabled()) {
-      obs::TraceEvent("session_open")
+      obs::Event(obs::ev::session_open)
           .str("session", entry->id)
           .str("objective", request.objective.describe());
     }
@@ -444,9 +442,7 @@ bool Scheduler::session_close(const std::string& id) {
   // A solve still in flight on another connection thread keeps the entry
   // alive through its shared_ptr; the solver is freed on the last drop.
   obs::ContextScope ctx_scope(entry->ctx);
-  if (obs::trace_enabled()) {
-    obs::TraceEvent("session_close").str("session", entry->id);
-  }
+  obs::Event(obs::ev::session_close).str("session", entry->id);
   return true;
 }
 
@@ -495,7 +491,7 @@ SessionAnswer Scheduler::run_session_solve(SessionEntry& entry,
   }
 
   if (obs::trace_enabled()) {
-    obs::TraceEvent("revise")
+    obs::Event(obs::ev::revise)
         .str("session", entry.id)
         .num("edits", static_cast<std::int64_t>(edits))
         .str("status", answer.status)
@@ -505,7 +501,7 @@ SessionAnswer Scheduler::run_session_solve(SessionEntry& entry,
       for (const std::string& name : answer.core) {
         core.push("\"" + obs::json_escape(name) + "\"");
       }
-      obs::TraceEvent("unsat_core")
+      obs::Event(obs::ev::unsat_core)
           .str("session", entry.id)
           .num("size", static_cast<std::int64_t>(answer.core.size()))
           .raw("core", core.build());
@@ -596,11 +592,9 @@ void Scheduler::worker_loop() {
       execute(job);
     } catch (const std::exception& e) {
       const obs::ContextScope ctx_scope(job->ctx);
-      if (obs::trace_enabled()) {
-        obs::TraceEvent("worker_panic")
-            .str("id", job->id)
-            .str("error", e.what());
-      }
+      obs::Event(obs::ev::worker_panic)
+          .str("id", job->id)
+          .str("error", e.what());
       flight_postmortem(job->id, job->ctx.req, "worker_panic");
       bool terminal = false;
       {
@@ -642,9 +636,7 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
   if (deadline_set &&
       job->request.deadline_s - answer.queue_seconds <= kMinSolveSeconds) {
     answer.deadline_expired = true;
-    if (obs::trace_enabled()) {
-      obs::TraceEvent("deadline_expired").str("id", job->id);
-    }
+    obs::Event(obs::ev::deadline_expired).str("id", job->id);
     flight_postmortem(job->id, job->ctx.req, "deadline_expired");
     finalize(job, JobState::kDone, std::move(answer));
     return;
@@ -709,9 +701,7 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
   if (!cancelled && deadline_set && !result.proven() &&
       seconds_since(job->submitted) >= job->request.deadline_s - 0.01) {
     answer.deadline_expired = true;
-    if (obs::trace_enabled()) {
-      obs::TraceEvent("deadline_expired").str("id", job->id);
-    }
+    obs::Event(obs::ev::deadline_expired).str("id", job->id);
     flight_postmortem(job->id, job->ctx.req, "deadline_expired");
   }
 
@@ -752,13 +742,11 @@ void Scheduler::finalize(const std::shared_ptr<Job>& job, JobState state,
   obs::add(state == JobState::kCancelled ? metrics().cancelled
                                          : metrics().completed);
   if (deadline_expired) obs::add(metrics().deadline_expired);
-  if (obs::trace_enabled()) {
-    obs::TraceEvent("request_done")
-        .str("id", job->id)
-        .str("state", job_state_name(state))
-        .boolean("proven_optimal", proven_optimal)
-        .num("seconds", total_seconds);
-  }
+  obs::Event(obs::ev::request_done)
+      .str("id", job->id)
+      .str("state", job_state_name(state))
+      .boolean("proven_optimal", proven_optimal)
+      .num("seconds", total_seconds);
 }
 
 }  // namespace optalloc::svc

@@ -13,7 +13,7 @@
 #include <utility>
 
 #include "alloc/io.hpp"
-#include "obs/trace.hpp"
+#include "obs/events.hpp"
 
 namespace optalloc::svc {
 
@@ -107,13 +107,11 @@ void Server::run() {
   // Graceful drain: stop taking work, answer everything already accepted,
   // then let the connection loops deliver those answers and wind down.
   scheduler_.shutdown(drain_on_stop_.load(std::memory_order_relaxed));
-  if (obs::trace_enabled()) {
-    // Last scheduler-side event of a graceful shutdown: its presence in a
-    // trace certifies the drain completed AND the sink was flushed after
-    // the final request (the trace_truncated guard test keys on it).
-    obs::TraceEvent("service_stop")
-        .boolean("drain", drain_on_stop_.load(std::memory_order_relaxed));
-  }
+  // Last scheduler-side event of a graceful shutdown: its presence in a
+  // trace certifies the drain completed AND the sink was flushed after
+  // the final request (the trace_truncated guard test keys on it).
+  obs::Event(obs::ev::service_stop)
+      .boolean("drain", drain_on_stop_.load(std::memory_order_relaxed));
   drained_.store(true, std::memory_order_relaxed);
   for (std::thread& t : connections_) {
     if (t.joinable()) t.join();

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "alloc/optimizer.hpp"
+#include "obs/events.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -416,7 +417,7 @@ TEST(Trace, DisabledSinkEmitsNothing) {
   obs::trace_to_stream(&sink);
   obs::trace_close();
   EXPECT_FALSE(obs::trace_enabled());
-  { obs::TraceEvent ev("ignored"); }
+  { obs::Event(obs::ev::solver_gc).num("gc_runs", 1); }
   EXPECT_TRUE(sink.str().empty());
 }
 
@@ -433,7 +434,7 @@ TEST(Trace, SpansAndContextCorrelateEvents) {
     obs::ContextScope scope(req_ctx);
     {
       obs::Span phase("phase");
-      obs::TraceEvent("inner").num("x", 1);
+      obs::Event(obs::ev::solver_gc).num("gc_runs", 1);
     }
     // Cross-thread halves: begin here, end on another thread — the pattern
     // the scheduler uses for queue-wait spans.
@@ -443,7 +444,8 @@ TEST(Trace, SpansAndContextCorrelateEvents) {
     });
     worker.join();
   }
-  obs::TraceEvent("outside").num("x", 2);  // context restored: no req field
+  // Context restored: no req field.
+  obs::Event(obs::ev::solver_restart).num("restarts", 2);
   obs::trace_close();
 
   std::map<std::string, std::vector<obs::JsonValue>> by_type;
@@ -456,8 +458,8 @@ TEST(Trace, SpansAndContextCorrelateEvents) {
   }
   ASSERT_EQ(by_type["span_begin"].size(), 2u);
   ASSERT_EQ(by_type["span_end"].size(), 2u);
-  ASSERT_EQ(by_type["inner"].size(), 1u);
-  ASSERT_EQ(by_type["outside"].size(), 1u);
+  ASSERT_EQ(by_type["solver_gc"].size(), 1u);
+  ASSERT_EQ(by_type["solver_restart"].size(), 1u);
 
   const double req = static_cast<double>(req_ctx.req);
   const obs::JsonValue& begin = by_type["span_begin"][0];
@@ -470,7 +472,7 @@ TEST(Trace, SpansAndContextCorrelateEvents) {
 
   // The event emitted inside the Span inherits req AND the span id — this
   // is what lets trace_report hang solver events off their phase.
-  const obs::JsonValue& inner = by_type["inner"][0];
+  const obs::JsonValue& inner = by_type["solver_gc"][0];
   EXPECT_EQ(inner.get_number("req"), req);
   EXPECT_EQ(inner.get_number("span"), *phase_span);
 
@@ -493,8 +495,8 @@ TEST(Trace, SpansAndContextCorrelateEvents) {
   EXPECT_NE(qbegin.get_number("tid"), qend.get_number("tid"));
 
   // Outside any context: no correlation fields at all.
-  EXPECT_EQ(by_type["outside"][0].get("req"), nullptr);
-  EXPECT_EQ(by_type["outside"][0].get("span"), nullptr);
+  EXPECT_EQ(by_type["solver_restart"][0].get("req"), nullptr);
+  EXPECT_EQ(by_type["solver_restart"][0].get("span"), nullptr);
 }
 
 TEST(Trace, SpanIsInertWhenTracingOff) {
@@ -540,14 +542,14 @@ TEST(Flight, RingOverwritesOldestOnWraparound) {
   constexpr int kExtra = 17;
   const int total = static_cast<int>(obs::kFlightCapacity) + kExtra;
   for (int i = 0; i < total; ++i) {
-    obs::FlightNote("wrap_probe").num("i", i);
+    obs::Event(obs::ev::search_sample).num("conflicts", i);
   }
-  const auto events = dumped_events("wrap_probe");
+  const auto events = dumped_events("search_sample");
   // Exactly the ring capacity survives; the oldest kExtra were overwritten
   // and the survivors are the *last* kFlightCapacity notes, oldest first.
   ASSERT_EQ(events.size(), obs::kFlightCapacity);
   for (std::size_t k = 0; k < events.size(); ++k) {
-    EXPECT_EQ(events[k].get_number("i"),
+    EXPECT_EQ(events[k].get_number("conflicts"),
               static_cast<double>(kExtra + static_cast<int>(k)));
   }
 }
@@ -558,19 +560,19 @@ TEST(Flight, RequestFilterSelectsOnlyThatRequest) {
   ctx.req = obs::next_span_id();
   {
     obs::ContextScope scope(ctx);
-    obs::FlightNote("attributed").num("x", 1);
+    obs::Event(obs::ev::interval).num("lower", 1);
   }
-  obs::FlightNote("unattributed").num("x", 2);
+  obs::Event(obs::ev::solve).num("call", 2);
 
-  const auto mine = dumped_events("attributed", ctx.req);
+  const auto mine = dumped_events("interval", ctx.req);
   ASSERT_EQ(mine.size(), 1u);
   EXPECT_EQ(mine[0].get_number("req"), static_cast<double>(ctx.req));
-  EXPECT_EQ(mine[0].get_number("x"), 1.0);
+  EXPECT_EQ(mine[0].get_number("lower"), 1.0);
   // The filtered dump holds nothing but that request's records...
-  EXPECT_TRUE(dumped_events("unattributed", ctx.req).empty());
+  EXPECT_TRUE(dumped_events("solve", ctx.req).empty());
   // ...while the unfiltered dump still has both, without a "req" field on
   // the context-free record.
-  const auto loose = dumped_events("unattributed");
+  const auto loose = dumped_events("solve");
   ASSERT_EQ(loose.size(), 1u);
   EXPECT_EQ(loose[0].get("req"), nullptr);
 }
@@ -578,36 +580,107 @@ TEST(Flight, RequestFilterSelectsOnlyThatRequest) {
 TEST(Flight, GateSuppressesRecordingButKeepsTail) {
   obs::flight_reset();
   ASSERT_TRUE(obs::flight_enabled());
-  { obs::FlightNote("kept").num("x", 1); }
+  { obs::Event(obs::ev::interval).num("lower", 1); }
   obs::set_flight(false);
-  { obs::FlightNote("dropped").num("x", 2); }
+  { obs::Event(obs::ev::solve).num("call", 2); }
   obs::set_flight(true);
   // Disabling drops new records but the already-recorded tail survives.
-  EXPECT_EQ(dumped_events("kept").size(), 1u);
-  EXPECT_TRUE(dumped_events("dropped").empty());
+  EXPECT_EQ(dumped_events("interval").size(), 1u);
+  EXPECT_TRUE(dumped_events("solve").empty());
 }
 
 TEST(Flight, FieldOverflowDropsExtras) {
   obs::flight_reset();
-  static_assert(obs::kFlightFields == 8);
+  static_assert(obs::kFlightFields == 10);
   {
-    obs::FlightNote n("overflow");
-    n.num("f0", 0).num("f1", 1).num("f2", 2).num("f3", 3).num("f4", 4);
-    n.num("f5", 5).num("f6", 6).num("f7", 7).num("f8", 8).num("f9", 9);
+    obs::Event e(obs::ev::search_sample);
+    e.num("f0", 0).num("f1", 1).num("f2", 2).num("f3", 3).num("f4", 4);
+    e.num("f5", 5).num("f6", 6).num("f7", 7).num("f8", 8).num("f9", 9);
+    e.num("f10", 10).num("f11", 11);
   }
-  const auto events = dumped_events("overflow");
+  const auto events = dumped_events("search_sample");
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].get_number("f0"), 0.0);
-  EXPECT_EQ(events[0].get_number("f7"), 7.0);
-  EXPECT_EQ(events[0].get("f8"), nullptr);
-  EXPECT_EQ(events[0].get("f9"), nullptr);
+  EXPECT_EQ(events[0].get_number("f9"), 9.0);
+  EXPECT_EQ(events[0].get("f10"), nullptr);
+  EXPECT_EQ(events[0].get("f11"), nullptr);
+}
+
+TEST(Flight, EventFeedsTraceAndRingFromOneCall) {
+  std::ostringstream sink;
+  obs::trace_to_stream(&sink);
+  obs::flight_reset();
+  obs::Event(obs::ev::solve)
+      .num("call", 3)
+      .choice("result", "unsat", 0)
+      .num("seconds", 0.5)
+      .str("note", "trace only");
+  obs::Event(obs::ev::search_sample).boolean("final", true);
+  obs::Event(obs::ev::optimum).str("status", "optimal");  // trace-only kind
+  obs::trace_close();
+
+  std::map<std::string, obs::JsonValue> traced;
+  std::istringstream lines(sink.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    auto parsed = obs::json_parse(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    traced[*parsed->get_string("type")] = std::move(*parsed);
+  }
+  ASSERT_EQ(traced.size(), 3u);
+  // The trace gets the enumerated value's name, strings and booleans...
+  EXPECT_EQ(traced["solve"].get_string("result"), "unsat");
+  EXPECT_EQ(traced["solve"].get_number("call"), 3.0);
+  EXPECT_EQ(traced["solve"].get_string("note"), "trace only");
+  const obs::JsonValue* final_flag = traced["search_sample"].get("final");
+  ASSERT_NE(final_flag, nullptr);
+  EXPECT_EQ(final_flag->kind, obs::JsonValue::Kind::kBool);
+  EXPECT_TRUE(final_flag->b);
+
+  // ...the ring gets the same numbers, the value's code and 0/1 for the
+  // boolean, no strings, and nothing of a trace-only kind.
+  const auto solves = dumped_events("solve");
+  ASSERT_EQ(solves.size(), 1u);
+  EXPECT_EQ(solves[0].get_number("call"), 3.0);
+  EXPECT_EQ(solves[0].get_number("result"), 0.0);
+  EXPECT_EQ(solves[0].get_number("seconds"), 0.5);
+  EXPECT_EQ(solves[0].get("note"), nullptr);
+  const auto samples = dumped_events("search_sample");
+  ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].get_number("final"), 1.0);
+  EXPECT_TRUE(dumped_events("optimum").empty());
+}
+
+TEST(Flight, RingKindsCarryEveryRequiredField) {
+  // With tracing off, a real optimizer run leaves every ring kind of
+  // obs/events.def in the ring, each record with all the table's fields.
+  ASSERT_FALSE(obs::trace_enabled());
+  obs::flight_reset();
+  const alloc::OptimizeResult result = alloc::optimize(
+      workload::tindell_prefix(10), alloc::Objective::ring_trt(0), {});
+  ASSERT_EQ(result.status, alloc::OptimizeResult::Status::kOptimal);
+  int ring_kinds = 0;
+  for (const obs::EventInfo& info : obs::kEvents) {
+    if (!info.ring) continue;
+    ++ring_kinds;
+    const auto events = dumped_events(info.name);
+    ASSERT_FALSE(events.empty()) << info.name;
+    std::istringstream fields{std::string(info.fields)};
+    std::string field;
+    while (fields >> field) {
+      for (const auto& ev : events) {
+        EXPECT_NE(ev.get(field), nullptr) << info.name << " lacks " << field;
+      }
+    }
+  }
+  EXPECT_EQ(ring_kinds, 4);
 }
 
 TEST(Flight, SignalSafeFdDumpMatchesAllocatingDump) {
   obs::flight_reset();
   // Values chosen to exercise the handler's hand-rolled double formatting:
   // sign, pure integer, fraction with trailing-zero trimming, sub-integer.
-  obs::FlightNote("fmt_probe")
+  obs::Event(obs::ev::inprocess_pass)
       .num("neg", -2.5)
       .num("whole", 3.0)
       .num("frac", 0.125)
@@ -632,7 +705,7 @@ TEST(Flight, SignalSafeFdDumpMatchesAllocatingDump) {
     const auto parsed = obs::json_parse(line);
     ASSERT_TRUE(parsed.has_value()) << "unparseable fd-dump line: " << line;
     ++total;
-    if (parsed->get_string("type") != "fmt_probe") continue;
+    if (parsed->get_string("type") != "inprocess_pass") continue;
     ++fmt_probes;
     EXPECT_EQ(parsed->get_number("neg"), -2.5);
     EXPECT_EQ(parsed->get_number("whole"), 3.0);
@@ -661,12 +734,12 @@ TEST(Flight, DumpWhileWritingNeverYieldsTornRecords) {
   std::thread writer([&stop] {
     std::int64_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      obs::FlightNote("race_probe").num("i", i).num("twice_i", 2 * i);
+      obs::Event(obs::ev::search_sample).num("i", i).num("twice_i", 2 * i);
       ++i;
     }
   });
   for (int round = 0; round < 200; ++round) {
-    for (const auto& ev : dumped_events("race_probe")) {
+    for (const auto& ev : dumped_events("search_sample")) {
       const auto i = ev.get_number("i");
       const auto twice = ev.get_number("twice_i");
       ASSERT_TRUE(i.has_value());
@@ -718,7 +791,7 @@ TEST(PerfCtr, ReadsAreSafeWhetherHardwareExistsOrNot) {
     EXPECT_EQ(c.cycles, -1);
   }
   EXPECT_TRUE(obs::json_parse(obs::perf_json(c)).has_value());
-  { obs::PerfSpan span("probe"); }  // destructor must be a no-op sans trace
+  { obs::Span span("probe"); }  // destructor must be a no-op sans trace
 }
 
 TEST(PerfCtr, KillSwitchDisablesFreshThreads) {

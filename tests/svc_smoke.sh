@@ -6,7 +6,8 @@
 # metrics verb in Prometheus text format, inspect a finished request and
 # replay its flight-recorder records through the dump verb, probe the
 # structured error answers (unknown verb / unknown id -> exit 3 with a
-# machine-readable "code"), force a deadline miss on a slow instance and
+# machine-readable "code"), refuse hostile submits (threads:1000000, a
+# system line past alloc::kMaxEcus) while staying up, force a deadline miss on a slow instance and
 # check its post-mortem flight dump, shut the daemon down gracefully,
 # validate the emitted trace with the schema checker, and reconstruct the
 # requests with trace_report (spans must balance; the trace must not be
@@ -144,6 +145,39 @@ RC=$?
 case "$BADID" in
   *'"code":"unknown_id"'*) ;;
   *) fail "unknown-id reply lacks the machine-readable code: $BADID" ;;
+esac
+
+# --- Hostile submits ------------------------------------------------------
+
+# A thread count far beyond the one-thread-per-request contract must be
+# refused at the protocol layer (code "bad_request", client exit 3).
+HUGE=$("$CLIENT" --socket "$SOCK" raw \
+       '{"verb":"submit","problem":"system 2\n","threads":1000000}')
+RC=$?
+[ $RC -eq 3 ] || fail "threads:1000000 submit exited $RC (want 3): $HUGE"
+case "$HUGE" in
+  *'"code":"bad_request"'*) ;;
+  *) fail "threads:1000000 reply lacks code bad_request: $HUGE" ;;
+esac
+
+# A system line one past alloc::kMaxEcus (1024) must be refused before
+# anything is allocated for it (code "bad_problem", client exit 3).
+printf 'system 1025\n' >"$WORKDIR/too_many_ecus.prob"
+BIG=$("$CLIENT" --socket "$SOCK" submit "$WORKDIR/too_many_ecus.prob" sum-trt)
+RC=$?
+[ $RC -eq 3 ] || fail "oversized system submit exited $RC (want 3): $BIG"
+case "$BIG" in
+  *'"code":"bad_problem"'*) ;;
+  *) fail "oversized system reply lacks code bad_problem: $BIG" ;;
+esac
+
+# The daemon still answers a normal submit afterwards.
+AGAIN=$("$CLIENT" --socket "$SOCK" submit "$PROBLEM" sum-trt --wait)
+RC=$?
+[ $RC -eq 0 ] || fail "submit after hostile requests exited $RC: $AGAIN"
+case "$AGAIN" in
+  *'"ok":true'*'"status":"optimal"'*) ;;
+  *) fail "submit after hostile requests not answered: $AGAIN" ;;
 esac
 
 # --- Forced deadline miss: anytime answer + post-mortem flight dump -----

@@ -1,12 +1,13 @@
 // Standalone JSONL trace validator, used by the `smoke_allocate_trace`
 // and `svc_smoke` ctest targets (and handy manually:
 // `trace_schema_check run.jsonl`). Checks that every line is a JSON
-// object carrying the standard fields, that the per-type required fields
-// are present, that every span_end matches a span_begin with the same
-// req+span, that every "flight_dump" post-mortem embeds schema-valid
-// events with a matching "count", and — in service traces — that every
-// solver-side event carries a "req" correlation field; prints a per-type
-// event census on success.
+// object carrying the standard fields, that its type is declared in
+// src/obs/events.def and carries the fields the table requires, that
+// every span_end matches a span_begin with the same req+span, that every
+// "flight_dump" post-mortem embeds schema-valid events with a matching
+// "count", and — in service traces — that every event the table marks
+// solver-side carries a "req" correlation field; prints a per-type event
+// census on success.
 //
 // Exit status: 0 = valid, 1 = schema violation, 2 = usage/IO error.
 
@@ -15,107 +16,53 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
-#include <vector>
 
+#include "obs/events.hpp"
 #include "obs/json.hpp"
 
 namespace {
 
 using optalloc::obs::JsonValue;
 
-/// type -> fields that must be present on every event of that type.
-const std::map<std::string, std::vector<const char*>>& required_fields() {
-  static const std::map<std::string, std::vector<const char*>> kSchema = {
-      {"solve", {"call", "result", "conflicts", "seconds"}},
-      {"interval", {"lower", "upper", "sat_calls"}},
-      {"optimum", {"status", "lower", "sat_calls", "seconds"}},
-      // Certification checkpoints (model / proof / allocation re-checks);
-      // "error" and proof-lemma counts are conditional, "kind"/"ok" are not.
-      {"certify", {"kind", "ok"}},
-      {"solver_restart", {"restarts", "conflicts", "learnts"}},
-      // Search-trajectory samples (sat::Solver::sample_interval).
-      {"search_sample",
-       {"conflicts", "restarts", "trail", "learnts", "props_per_sec",
-        "conflicts_per_sec", "lbd_mean", "final"}},
-      // Per-span hardware counters (obs/perfctr.hpp); absent siblings are
-      // -1, never missing.
-      {"perf_counters",
-       {"name", "cycles", "instructions", "cache_references",
-        "cache_misses", "branch_misses"}},
-      // Flight-recorder post-mortems (deadline expiry, cancellation,
-      // worker panic): carry the embedded ring contents.
-      {"flight_dump", {"id", "reason", "count", "events"}},
-      {"solver_gc", {"gc_runs", "arena_before", "arena_after"}},
-      // Inprocessing passes (sat/inprocess.hpp): per-pass rewrite counts
-      // and the arena words the pass turned into garbage.
-      {"inprocess_pass",
-       {"subsumed", "strengthened", "eliminated", "reclaimed_words",
-        "seconds"}},
-      {"anneal", {"feasible", "iterations", "accepted", "seconds"}},
-      // Allocation service (alloc_serve) request lifecycle.
-      {"request_received", {"id", "objective"}},
-      {"cache_hit", {"id"}},
-      // A scheduler worker caught an exception from the optimizer; the
-      // job is failed, not lost.
-      {"worker_panic", {"id", "error"}},
-      {"deadline_expired", {"id"}},
-      {"request_done", {"id", "state", "proven_optimal", "seconds"}},
-      // Incremental re-solve sessions (session_open / revise verbs).
-      {"session_open", {"session", "objective"}},
-      // Every session solve (the opening solve has edits=0).
-      {"revise", {"session", "edits", "status", "seconds"}},
-      // Infeasible edits: the named constraint groups that conflict.
-      {"unsat_core", {"session", "size", "core"}},
-      {"session_close", {"session"}},
-      // Request correlation (see src/obs/trace.hpp).
-      {"span_begin", {"name", "span", "parent"}},
-      {"span_end", {"name", "span", "parent", "seconds"}},
-      {"metrics_snapshot", {"metrics"}},
-      // Resource watermark crossings (obs/resource.hpp): level is "high"
-      // on the way up, "normal" once usage falls back under the low mark.
-      {"resource_watermark", {"resource", "level", "bytes", "threshold"}},
-      {"service_stop", {"drain"}},
-  };
-  return kSchema;
-}
-
-/// Solver/optimizer-side event types: inside a service run every one of
-/// them is emitted on behalf of some request and must carry "req".
-bool solver_side(const std::string& type) {
-  static const std::set<std::string> kTypes = {
-      "solve",     "interval",       "optimum",       "solver_restart",
-      "solver_gc", "inprocess_pass", "search_sample", "perf_counters"};
-  return kTypes.count(type) > 0;
-}
-
-/// One event embedded in a flight_dump's "events" array. Flight records
-/// share the trace vocabulary but are numeric-only, so `search_sample`
-/// lacks the "final" boolean; everything else matches the schema map.
-bool check_embedded_event(int line_no, std::size_t idx, const JsonValue& ev) {
-  const auto fail_at = [line_no, idx](const std::string& why) {
-    std::fprintf(stderr,
-                 "trace_schema_check: line %d: flight_dump event %zu: %s\n",
-                 line_no, idx, why.c_str());
-    return false;
-  };
-  if (!ev.is_object()) return fail_at("not a JSON object");
-  const auto type = ev.get_string("type");
-  if (!type) return fail_at("missing \"type\"");
-  const auto ts = ev.get_number("ts");
-  if (!ts || *ts < 0.0) return fail_at("missing/negative \"ts\"");
-  if (!ev.get_number("tid")) return fail_at("missing \"tid\"");
-  const auto& schema = required_fields();
-  const auto it = schema.find(*type);
-  if (it == schema.end()) return true;
-  for (const char* field : it->second) {
-    if (*type == "search_sample" && std::string(field) == "final") continue;
-    if (!ev.get(field)) {
-      return fail_at("event \"" + *type + "\" missing \"" + field + "\"");
-    }
+/// The declared kind named `type` (obs/events.def), or nullptr.
+const optalloc::obs::EventInfo* declared(const std::string& type) {
+  for (const auto& info : optalloc::obs::kEvents) {
+    if (type == info.name) return &info;
   }
-  return true;
+  return nullptr;
+}
+
+/// The first required field of `info` that `ev` lacks, or "" if none.
+std::string missing_field(const optalloc::obs::EventInfo& info,
+                          const JsonValue& ev) {
+  std::istringstream fields{std::string(info.fields)};
+  std::string field;
+  while (fields >> field) {
+    if (!ev.get(field)) return field;
+  }
+  return "";
+}
+
+/// Standard fields, a declared type and its required fields. Returns the
+/// violation, or "" when `ev` is a valid event.
+std::string check_event(const JsonValue& ev) {
+  if (!ev.is_object()) return "not a JSON object";
+  const auto type = ev.get_string("type");
+  if (!type) return "missing \"type\"";
+  const auto ts = ev.get_number("ts");
+  if (!ts || *ts < 0.0) return "missing/negative \"ts\"";
+  if (!ev.get_number("tid")) return "missing \"tid\"";
+  const auto* info = declared(*type);
+  if (info == nullptr) {
+    return "event type \"" + *type + "\" is not declared in events.def";
+  }
+  if (const std::string field = missing_field(*info, ev); !field.empty()) {
+    return "event \"" + *type + "\" missing \"" + field + "\"";
+  }
+  return "";
 }
 
 /// Cross-line state threaded through the whole trace.
@@ -138,23 +85,10 @@ bool fail(int line, const std::string& why) {
 bool check_line(int line_no, const std::string& line, TraceState& state) {
   const auto parsed = optalloc::obs::json_parse(line);
   if (!parsed) return fail(line_no, "not valid JSON");
-  if (!parsed->is_object()) return fail(line_no, "not a JSON object");
-  const auto type = parsed->get_string("type");
-  if (!type) return fail(line_no, "missing \"type\"");
-  const auto ts = parsed->get_number("ts");
-  if (!ts || *ts < 0.0) return fail(line_no, "missing/negative \"ts\"");
-  if (!parsed->get_number("tid")) return fail(line_no, "missing \"tid\"");
-
-  const auto& schema = required_fields();
-  const auto it = schema.find(*type);
-  if (it != schema.end()) {
-    for (const char* field : it->second) {
-      if (!parsed->get(field)) {
-        return fail(line_no, "event \"" + *type + "\" missing \"" + field +
-                                 "\"");
-      }
-    }
+  if (const std::string why = check_event(*parsed); !why.empty()) {
+    return fail(line_no, why);
   }
+  const auto type = parsed->get_string("type");
   ++state.census[*type];
 
   if (*type == "flight_dump") {
@@ -175,7 +109,11 @@ bool check_line(int line_no, const std::string& line, TraceState& state) {
                                std::to_string(events->array.size()) + ")");
     }
     for (std::size_t i = 0; i < events->array.size(); ++i) {
-      if (!check_embedded_event(line_no, i, events->array[i])) return false;
+      if (const std::string why = check_event(events->array[i]);
+          !why.empty()) {
+        return fail(line_no,
+                    "flight_dump event " + std::to_string(i) + ": " + why);
+      }
     }
   }
 
@@ -199,7 +137,7 @@ bool check_line(int line_no, const std::string& line, TraceState& state) {
                       std::to_string(key.second) + ")");
     }
   }
-  if (req == 0 && solver_side(*type) &&
+  if (req == 0 && declared(*type)->solver_side &&
       state.solver_events_without_req++ == 0) {
     state.first_unattributed_line = line_no;
   }

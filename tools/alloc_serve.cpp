@@ -37,11 +37,11 @@
 #include <string>
 #include <thread>
 
+#include "obs/events.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 #include "svc/server.hpp"
 
 namespace {
@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
         optalloc::obs::timeseries_sample_now();
         optalloc::obs::check_resource_watermarks();
         if (optalloc::obs::trace_enabled()) {
-          optalloc::obs::TraceEvent("metrics_snapshot")
+          optalloc::obs::Event(optalloc::obs::ev::metrics_snapshot)
               .raw("metrics", optalloc::obs::metrics_json());
         }
       }
