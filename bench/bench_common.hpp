@@ -17,7 +17,6 @@
 #include "alloc/optimizer.hpp"
 #include "heur/annealing.hpp"
 #include "obs/json.hpp"
-#include "obs/perfctr.hpp"
 #include "rt/verify.hpp"
 #include "util/stopwatch.hpp"
 #include "workload/generator.hpp"
@@ -43,10 +42,6 @@ struct RunOutcome {
   alloc::OptimizeResult sat;
   bool verified = false;
   double sa_seconds = 0.0;
-  /// Hardware-counter consumption of the SAT search (cycles, cache
-  /// misses, ...); {available:false} on perf-less hosts — rendered as
-  /// JSON nulls in the report.
-  obs::PerfCounts perf;
 };
 
 /// SA baseline, then SAT optimization seeded with it; verifies the SAT
@@ -74,9 +69,7 @@ inline RunOutcome run_experiment(const alloc::Problem& problem,
     opts.initial_upper = out.sa.cost;
     opts.warm_start = out.sa.allocation;
   }
-  const obs::PerfCounts perf_before = obs::perf_read();
   out.sat = alloc::optimize(problem, objective, opts);
-  out.perf = obs::perf_delta(obs::perf_read(), perf_before);
   if (out.sat.has_allocation) {
     out.verified = rt::verify(problem.tasks, problem.arch,
                               out.sat.allocation)
@@ -131,8 +124,7 @@ class JsonReport {
     fill(row, out.sat);
     row.boolean("verified", out.verified)
         .boolean("sa_feasible", out.sa.feasible)
-        .num("sa_seconds", out.sa_seconds)
-        .raw("perf_counters", obs::perf_json(out.perf));
+        .num("sa_seconds", out.sa_seconds);
     if (out.sa.feasible) row.num("sa_cost", out.sa.cost);
     rows_.push(row.build());
   }

@@ -13,19 +13,26 @@
 //   trace      tracing on (to a file), histograms off
 //   all        everything on (trace + histograms + flight + resources)
 // — and writes BENCH_obs_overhead.json with per-config wall times and
-// the overhead ratio of each config against "off". Acceptance gates:
-// tracing-off overhead must stay within noise (a few percent) of the
-// untelemetered baseline, because production services run that way; the
-// flight recorder (on, trace off) must cost <= 5% — it is the always-on
-// post-mortem path and may not tax the solver; and resource accounting
-// (also always-on in the service) gets the same 5% budget.
+// the overhead ratio of each config against "off". The configs run
+// interleaved: each round times one optimize() run per config, and the
+// config that goes first rotates from round to round, so host drift
+// lands on every config alike. A config's ratio is the median of its
+// per-round config/off ratios. Acceptance gates: tracing-off overhead
+// must stay within noise (a few percent) of the untelemetered baseline,
+// because production services run that way; the flight recorder (on,
+// trace off) must cost <= 5% — it is the always-on post-mortem path and
+// may not tax the solver; and resource accounting (also always-on in the
+// service) gets the same 5% budget.
 //
 // Environment knobs:
-//   OPTALLOC_OBS_BENCH_REPEATS  optimize() runs per config (default 5)
+//   OPTALLOC_OBS_BENCH_REPEATS  rounds, i.e. optimize() runs per config
+//                               (default 5)
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -57,9 +64,9 @@ struct Config {
   bool resource;
 };
 
-/// One timed pass: `reps` full optimize() runs over the same instance.
+/// One timed optimize() run over `problem` under `cfg`.
 double run_config(const alloc::Problem& problem, const Config& cfg,
-                  int reps, const std::string& trace_path) {
+                  const std::string& trace_path) {
   obs::set_histograms(cfg.histograms);
   obs::set_flight(cfg.flight);
   obs::set_resources(cfg.resource);
@@ -70,15 +77,12 @@ double run_config(const alloc::Problem& problem, const Config& cfg,
     }
   }
   Stopwatch sw;
-  for (int i = 0; i < reps; ++i) {
-    alloc::OptimizeOptions opts;
-    opts.time_limit_s = 60.0;
-    const auto res =
-        alloc::optimize(problem, alloc::Objective::sum_trt(), opts);
-    if (res.status != alloc::OptimizeResult::Status::kOptimal) {
-      std::fprintf(stderr, "bench instance did not reach the optimum\n");
-      std::exit(1);
-    }
+  alloc::OptimizeOptions opts;
+  opts.time_limit_s = 60.0;
+  const auto res = alloc::optimize(problem, alloc::Objective::sum_trt(), opts);
+  if (res.status != alloc::OptimizeResult::Status::kOptimal) {
+    std::fprintf(stderr, "bench instance did not reach the optimum\n");
+    std::exit(1);
   }
   const double secs = sw.seconds();
   if (cfg.trace) obs::trace_close();
@@ -86,6 +90,15 @@ double run_config(const alloc::Problem& problem, const Config& cfg,
   obs::set_flight(true);
   obs::set_resources(true);
   return secs;
+}
+
+/// Linear-interpolated quantile `q` in [0, 1] of `v` (non-empty).
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
 }
 
 }  // namespace
@@ -106,35 +119,57 @@ int main() {
       {"all", true, true, true, true},
   };
 
-  std::printf("observability overhead: %d optimize() runs per config\n",
+  constexpr std::size_t kConfigs = std::size(configs);
+  std::printf("observability overhead: %d interleaved rounds of one "
+              "optimize() run per config\n",
               reps);
-  std::printf("%-12s %10s %10s\n", "config", "seconds", "vs off");
 
   // Warm-up pass (allocator, branch predictors, metric registrations) so
   // the first measured config isn't penalized.
-  run_config(problem, configs[0], 1, "");
+  run_config(problem, configs[0], "");
 
+  // secs[c][r]: config c's run in round r. Round r starts at config
+  // r mod kConfigs and wraps, so no config is always first.
+  std::vector<std::vector<double>> secs(kConfigs);
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t k = 0; k < kConfigs; ++k) {
+      const std::size_t c = (static_cast<std::size_t>(r) + k) % kConfigs;
+      secs[c].push_back(
+          run_config(problem, configs[c], "BENCH_obs_overhead_trace.jsonl"));
+    }
+  }
+
+  std::printf("%-10s %10s %21s %8s %18s\n", "config", "s/run", "s/run q1..q3",
+              "vs off", "ratio q1..q3");
   obs::JsonArray rows;
-  double baseline = 0.0;
   double flight_ratio = 1.0;
   double resource_ratio = 1.0;
-  for (const Config& cfg : configs) {
-    const double secs =
-        run_config(problem, cfg, reps, "BENCH_obs_overhead_trace.jsonl");
-    if (baseline == 0.0) baseline = secs;
-    const double ratio = baseline > 0.0 ? secs / baseline : 1.0;
+  for (std::size_t c = 0; c < kConfigs; ++c) {
+    const Config& cfg = configs[c];
+    std::vector<double> ratios;
+    for (int r = 0; r < reps; ++r) ratios.push_back(secs[c][r] / secs[0][r]);
+    const double ratio = quantile(ratios, 0.5);
     if (std::string(cfg.name) == "flight") flight_ratio = ratio;
     if (std::string(cfg.name) == "resource") resource_ratio = ratio;
-    std::printf("%-12s %10.3f %9.3fx\n", cfg.name, secs, ratio);
+    const double s_q1 = quantile(secs[c], 0.25);
+    const double s_med = quantile(secs[c], 0.5);
+    const double s_q3 = quantile(secs[c], 0.75);
+    const double r_q1 = quantile(ratios, 0.25);
+    const double r_q3 = quantile(ratios, 0.75);
+    std::printf("%-10s %10.3f %10.3f..%-9.3f %7.3fx %8.3f..%-8.3f\n",
+                cfg.name, s_med, s_q1, s_q3, ratio, r_q1, r_q3);
     rows.push(obs::JsonObject()
                   .str("config", cfg.name)
                   .boolean("trace", cfg.trace)
                   .boolean("histograms", cfg.histograms)
                   .boolean("flight", cfg.flight)
                   .boolean("resource", cfg.resource)
-                  .num("seconds", secs)
-                  .num("seconds_per_run", secs / reps)
+                  .num("seconds_per_run", s_med)
+                  .num("seconds_q1", s_q1)
+                  .num("seconds_q3", s_q3)
                   .num("overhead_ratio", ratio)
+                  .num("ratio_q1", r_q1)
+                  .num("ratio_q3", r_q3)
                   .build());
   }
   // The flight recorder and resource accounting are always-on in

@@ -61,23 +61,10 @@ Span::Span(std::string_view name) {
   prev_ = t_context;
   t_context = {prev_.req, span_begin_event(name_, prev_), prev_.span};
   start_ns_ = monotonic_ns();
-  perf_start_ = perf_read();
 }
 
 Span::~Span() {
   if (!active_) return;
-  if (perf_start_.available) {
-    const PerfCounts d = perf_delta(perf_read(), perf_start_);
-    // Absent siblings emit -1 (trace events have no null); consumers
-    // treat negative counters as unavailable.
-    Event(ev::perf_counters)
-        .str("name", name_)
-        .num("cycles", d.cycles)
-        .num("instructions", d.instructions)
-        .num("cache_references", d.cache_references)
-        .num("cache_misses", d.cache_misses)
-        .num("branch_misses", d.branch_misses);
-  }
   span_end_event(name_, prev_, t_context.span,
                  static_cast<double>(monotonic_ns() - start_ns_) * 1e-9);
   t_context = prev_;

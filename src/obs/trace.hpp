@@ -29,8 +29,6 @@
 #include <string>
 #include <string_view>
 
-#include "obs/perfctr.hpp"
-
 namespace optalloc::obs {
 
 namespace detail {
@@ -98,10 +96,7 @@ class ContextScope {
 /// RAII traced phase: emits "span_begin" on construction and "span_end"
 /// (with wall "seconds") on destruction, nesting under the thread's
 /// current context — events emitted inside the scope carry this span's
-/// id. When hardware perf counters are available (see obs/perfctr.hpp)
-/// the destructor additionally emits a "perf_counters" event with the
-/// phase's cycle/instruction/cache-miss deltas. No-op (and no id
-/// allocated) when tracing is off at construction.
+/// id. No-op (and no id allocated) when tracing is off at construction.
 class Span {
  public:
   explicit Span(std::string_view name);
@@ -114,7 +109,6 @@ class Span {
   SpanContext prev_;
   std::uint64_t start_ns_ = 0;
   bool active_ = false;
-  PerfCounts perf_start_;  ///< thread counters at entry (when available)
 };
 
 /// Cross-thread span halves: begin on one thread (returns the span id

@@ -5,7 +5,8 @@
 // paper's model. This is the ground truth that
 //   * the SAT optimizer's decoded solutions are validated against
 //     (independent implementation — any encoder bug shows up here), and
-//   * the heuristic baselines (simulated annealing, greedy) optimize over.
+//   * the heuristic baselines (simulated annealing, exhaustive search)
+//     optimize over.
 
 #include <string>
 #include <vector>

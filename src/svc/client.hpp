@@ -1,7 +1,8 @@
 #pragma once
 // Client-side socket plumbing for the NDJSON protocol, shared by the
-// alloc_client CLI and the bench_service load generator: connect to the
-// daemon, send one request line, read one response line.
+// alloc_client CLI, the alloc_top dashboard and the perfbench service
+// workload: connect to the daemon, send one request line, read one
+// response line.
 
 #include <string>
 

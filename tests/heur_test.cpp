@@ -1,7 +1,7 @@
-// Tests for the heuristic allocators (simulated annealing, greedy,
-// exhaustive) and the central optimality cross-check: on random small
+// Tests for the heuristic allocators (simulated annealing, exhaustive
+// search) and the central optimality cross-check: on random small
 // instances the SAT optimizer must (a) agree exactly with exhaustive
-// search where the latter is exact, (b) never be beaten by any heuristic,
+// search where the latter is exact, (b) never be beaten by annealing,
 // and (c) always produce verifier-approved allocations.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "heur/annealing.hpp"
 #include "heur/common.hpp"
 #include "heur/exhaustive.hpp"
-#include "heur/greedy.hpp"
 #include "rt/verify.hpp"
 #include "util/rng.hpp"
 
@@ -87,33 +86,6 @@ TEST(Common, ObjectiveValueMatchesDefinition) {
   ASSERT_TRUE(alloc.has_value());
   EXPECT_EQ(objective_value(p, Objective::ring_trt(0), *alloc), 4);
   EXPECT_EQ(objective_value(p, Objective::sum_trt(), *alloc), 4);
-}
-
-TEST(Greedy, FindsFeasibleAllocation) {
-  const Problem p = small_ring_problem();
-  const GreedyResult res = greedy_allocate(p, Objective::ring_trt(0));
-  ASSERT_TRUE(res.feasible);
-  const auto report = rt::verify(p.tasks, p.arch, res.allocation);
-  EXPECT_TRUE(report.feasible);
-}
-
-TEST(Greedy, RespectsSeparation) {
-  Problem p = small_ring_problem();
-  p.tasks.tasks[0].separated_from = {1};
-  p.tasks.tasks[1].separated_from = {0};
-  const GreedyResult res = greedy_allocate(p, Objective::feasibility());
-  ASSERT_TRUE(res.feasible);
-  EXPECT_NE(res.allocation.task_ecu[0], res.allocation.task_ecu[1]);
-}
-
-TEST(Greedy, ReportsInfeasibleWhenNoEcuFits) {
-  Problem p;
-  p.tasks.tasks = {make_task("A", 10, 10, {8}),
-                   make_task("B", 10, 10, {8})};
-  p.arch.num_ecus = 1;
-  p.arch.media = {make_ring("ring", {0})};
-  const GreedyResult res = greedy_allocate(p, Objective::feasibility());
-  EXPECT_FALSE(res.feasible);
 }
 
 TEST(Annealing, FindsFeasibleAllocationDeterministically) {
@@ -302,10 +274,6 @@ TEST(Baselines, SatNeverLosesToHeuristics) {
     const AnnealingResult sa = anneal(p, Objective::ring_trt(0), opts);
     if (sa.feasible) {
       EXPECT_LE(sat_res.cost, sa.cost) << "round " << round;
-    }
-    const GreedyResult gr = greedy_allocate(p, Objective::ring_trt(0));
-    if (gr.feasible) {
-      EXPECT_LE(sat_res.cost, gr.cost) << "round " << round;
     }
   }
 }

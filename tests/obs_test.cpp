@@ -21,7 +21,6 @@
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perfctr.hpp"
 #include "obs/resource.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
@@ -749,67 +748,6 @@ TEST(Flight, DumpWhileWritingNeverYieldsTornRecords) {
   }
   stop.store(true);
   writer.join();
-}
-
-// --- Perf counters ------------------------------------------------------
-
-TEST(PerfCtr, UnavailableCountersRenderWellFormedNulls) {
-  const obs::PerfCounts none;  // available == false, all counters -1
-  const auto doc = obs::json_parse(obs::perf_json(none));
-  ASSERT_TRUE(doc.has_value());
-  for (const char* key : {"cycles", "instructions", "cache_references",
-                          "cache_misses", "branch_misses"}) {
-    const obs::JsonValue* v = doc->get(key);
-    ASSERT_NE(v, nullptr) << key;
-    EXPECT_EQ(v->kind, obs::JsonValue::Kind::kNull) << key;
-  }
-}
-
-TEST(PerfCtr, DeltaPropagatesAbsentSiblings) {
-  obs::PerfCounts a;
-  a.available = true;
-  a.cycles = 100;
-  a.cache_misses = 7;  // instructions etc. stay -1 (absent)
-  obs::PerfCounts b;
-  b.available = true;
-  b.cycles = 40;
-  b.cache_misses = 9;  // counter went "backwards" (group reopened)
-  const obs::PerfCounts d = obs::perf_delta(a, b);
-  EXPECT_TRUE(d.available);
-  EXPECT_EQ(d.cycles, 60);
-  EXPECT_EQ(d.instructions, -1);   // absent on both sides stays absent
-  EXPECT_EQ(d.cache_misses, 0);    // never negative
-  EXPECT_FALSE(obs::perf_delta(a, obs::PerfCounts{}).available);
-}
-
-TEST(PerfCtr, ReadsAreSafeWhetherHardwareExistsOrNot) {
-  // Must hold both on perf-capable hosts and in containers that mask the
-  // syscall: reads never fail, JSON always parses.
-  const obs::PerfCounts c = obs::perf_read();
-  EXPECT_EQ(c.available, obs::perf_available());
-  if (!c.available) {
-    EXPECT_EQ(c.cycles, -1);
-  }
-  EXPECT_TRUE(obs::json_parse(obs::perf_json(c)).has_value());
-  { obs::Span span("probe"); }  // destructor must be a no-op sans trace
-}
-
-TEST(PerfCtr, KillSwitchDisablesFreshThreads) {
-  // OPTALLOC_NO_PERFCTR is honored at each thread's lazy group open; a
-  // thread started under the kill switch must report unavailable even on
-  // perf-capable hosts.
-  ASSERT_EQ(setenv("OPTALLOC_NO_PERFCTR", "1", /*overwrite=*/1), 0);
-  bool available = true;
-  obs::PerfCounts counts;
-  std::thread probe([&] {
-    available = obs::perf_available();
-    counts = obs::perf_read();
-  });
-  probe.join();
-  unsetenv("OPTALLOC_NO_PERFCTR");
-  EXPECT_FALSE(available);
-  EXPECT_FALSE(counts.available);
-  EXPECT_EQ(counts.cycles, -1);
 }
 
 // --- Resource registry -------------------------------------------------

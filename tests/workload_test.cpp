@@ -11,7 +11,6 @@
 
 #include "alloc/io.hpp"
 #include "heur/annealing.hpp"
-#include "heur/greedy.hpp"
 #include "net/paths.hpp"
 #include "rt/verify.hpp"
 #include "workload/generator.hpp"
@@ -73,9 +72,10 @@ TEST(Tindell, ConstrainedDeadlinesAndValidMessages) {
 
 TEST(Tindell, FeasibleByHeuristics) {
   const alloc::Problem p = tindell_system();
-  const auto greedy = heur::greedy_allocate(p, alloc::Objective::ring_trt(0));
-  ASSERT_TRUE(greedy.feasible);
-  const auto report = rt::verify(p.tasks, p.arch, greedy.allocation);
+  const auto sa = heur::anneal(p, alloc::Objective::ring_trt(0),
+                               {.seed = 3, .iterations = 4000});
+  ASSERT_TRUE(sa.feasible);
+  const auto report = rt::verify(p.tasks, p.arch, sa.allocation);
   EXPECT_TRUE(report.feasible);
 }
 
@@ -93,9 +93,9 @@ TEST(Tindell, PrefixSlicesConsistently) {
 TEST(Tindell, PrefixesAreFeasible) {
   for (const int n : {7, 12, 20, 30}) {
     const alloc::Problem p = tindell_prefix(n);
-    const auto greedy =
-        heur::greedy_allocate(p, alloc::Objective::feasibility());
-    EXPECT_TRUE(greedy.feasible) << n << " tasks";
+    const auto sa = heur::anneal(p, alloc::Objective::feasibility(),
+                                 {.seed = 1, .iterations = 4000});
+    EXPECT_TRUE(sa.feasible) << n << " tasks";
   }
 }
 
@@ -158,15 +158,15 @@ TEST(Architectures, ArchCGatewayHostsTasks) {
 }
 
 TEST(Architectures, ArchCFeasibleWithFlatPlacement) {
-  // The flat system's greedy allocation, extended with zero upper-ring
+  // The flat system's annealed allocation, extended with zero upper-ring
   // slots, must stay feasible on architecture C — that is the paper's
   // observation that C reproduces the flat optimum.
   const alloc::Problem flat = tindell_system();
-  const auto greedy =
-      heur::greedy_allocate(flat, alloc::Objective::ring_trt(0));
-  ASSERT_TRUE(greedy.feasible);
+  const auto sa = heur::anneal(flat, alloc::Objective::ring_trt(0),
+                               {.seed = 3, .iterations = 4000});
+  ASSERT_TRUE(sa.feasible);
   const alloc::Problem c = architecture_c();
-  rt::Allocation alloc = greedy.allocation;
+  rt::Allocation alloc = sa.allocation;
   alloc.slots.push_back({0, 0, 0});  // silent upper ring
   const auto report = rt::verify(c.tasks, c.arch, alloc);
   EXPECT_TRUE(report.feasible)
@@ -187,9 +187,8 @@ TEST(Generator, ScalingSeriesKeepsTaskShape) {
 }
 
 TEST(Generator, ScalingInstancesFeasible) {
-  // Greedy handles the dense 8-ECU instance; the sparser large rings
-  // need annealing (bus messages become mandatory and greedy's one-pass
-  // placement misses the required co-locations).
+  // On the sparser large rings bus messages become mandatory, so a
+  // feasible placement has to find the required co-locations.
   for (const int ecus : {8, 16, 32}) {
     const alloc::Problem p = scaling_system(ecus);
     const auto sa =

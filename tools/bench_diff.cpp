@@ -3,292 +3,72 @@
 //   bench_diff OLD.json NEW.json [--metrics seconds,conflicts,...]
 //              [--threshold 1.20] [--json]
 //
-// Rows are matched by their "instance" key (table benches) or "phase"
-// key (bench_micro). For every numeric metric present in both versions
-// of a row the tool prints per-row ratios (new/old) and the geometric
-// mean across rows — the number the performance gate in EXPERIMENTS.md
-// is stated in. Rows carrying a "cost" field are additionally checked
-// for *equality*: a benchmark run that got faster but reports a
-// different optimum is a correctness bug, not a speedup.
+// Rows are matched by their "instance" key (table benches,
+// bench_incremental) or "config" key (bench_obs_overhead). For every
+// numeric metric present in both versions of a row the tool prints
+// per-row ratios (new/old) and the geometric mean across rows — the
+// number the performance gate in EXPERIMENTS.md is stated in. Rows
+// carrying a "cost" field are additionally checked for *equality*: a
+// benchmark run that got faster but reports a different optimum is a
+// correctness bug, not a speedup.
 //
 // Exit status: 0 = clean; 1 = regression (a --threshold metric's geomean
-// ratio exceeded the threshold, or a cost mismatch); 2 = usage or parse
-// error. Without --threshold the run is informational and only cost
-// mismatches fail it — that is the mode the CI step uses, diffing a
-// fresh bench_micro run against the committed baseline.
-//
-// The parser below is a deliberately small recursive-descent JSON
-// reader: the artifacts are machine-written by obs::JsonObject, so it
-// only needs to be correct, not forgiving.
+// ratio exceeded the threshold, or a cost or status mismatch); 2 = usage
+// error, or a missing or unparseable artifact. Without --threshold the
+// run is informational and only cost mismatches fail it — that is the
+// mode the CI steps use, diffing a fresh run against the committed
+// baseline.
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
+
+namespace obs = optalloc::obs;
+
 namespace {
-
-// ---------------------------------------------------------------- JSON --
-struct Value {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<Value> arr;
-  std::vector<std::pair<std::string, Value>> obj;
-
-  const Value* find(const std::string& key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
-
-  bool parse(Value& out) {
-    skip_ws();
-    if (!value(out)) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
-  std::string error() const { return error_; }
-
- private:
-  bool fail(const char* what) {
-    if (error_.empty()) {
-      error_ = std::string(what) + " near offset " + std::to_string(pos_);
-    }
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool literal(const char* word) {
-    const std::size_t n = std::strlen(word);
-    if (s_.compare(pos_, n, word) != 0) return fail("bad literal");
-    pos_ += n;
-    return true;
-  }
-
-  bool string(std::string& out) {
-    if (pos_ >= s_.size() || s_[pos_] != '"') return fail("expected string");
-    ++pos_;
-    out.clear();
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return fail("bad escape");
-        const char e = s_[pos_++];
-        switch (e) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u':
-            // The artifacts are ASCII; skip the four hex digits and
-            // substitute '?' rather than decoding surrogate pairs.
-            if (pos_ + 4 > s_.size()) return fail("bad \\u escape");
-            pos_ += 4;
-            c = '?';
-            break;
-          default: c = e; break;
-        }
-      }
-      out.push_back(c);
-    }
-    if (pos_ >= s_.size()) return fail("unterminated string");
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool value(Value& out) {
-    skip_ws();
-    if (pos_ >= s_.size()) return fail("unexpected end");
-    const char c = s_[pos_];
-    if (c == 'n') {
-      out.kind = Value::Kind::kNull;
-      return literal("null");
-    }
-    if (c == 't') {
-      out.kind = Value::Kind::kBool;
-      out.b = true;
-      return literal("true");
-    }
-    if (c == 'f') {
-      out.kind = Value::Kind::kBool;
-      out.b = false;
-      return literal("false");
-    }
-    if (c == '"') {
-      out.kind = Value::Kind::kString;
-      return string(out.str);
-    }
-    if (c == '[') {
-      ++pos_;
-      out.kind = Value::Kind::kArray;
-      skip_ws();
-      if (pos_ < s_.size() && s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        out.arr.emplace_back();
-        if (!value(out.arr.back())) return false;
-        skip_ws();
-        if (pos_ >= s_.size()) return fail("unterminated array");
-        if (s_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (s_[pos_] == ']') {
-          ++pos_;
-          return true;
-        }
-        return fail("expected ',' or ']'");
-      }
-    }
-    if (c == '{') {
-      ++pos_;
-      out.kind = Value::Kind::kObject;
-      skip_ws();
-      if (pos_ < s_.size() && s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        skip_ws();
-        std::string key;
-        if (!string(key)) return false;
-        skip_ws();
-        if (pos_ >= s_.size() || s_[pos_] != ':') return fail("expected ':'");
-        ++pos_;
-        out.obj.emplace_back(std::move(key), Value{});
-        if (!value(out.obj.back().second)) return false;
-        skip_ws();
-        if (pos_ >= s_.size()) return fail("unterminated object");
-        if (s_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (s_[pos_] == '}') {
-          ++pos_;
-          return true;
-        }
-        return fail("expected ',' or '}'");
-      }
-    }
-    // Number.
-    const std::size_t start = pos_;
-    if (s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return fail("expected value");
-    out.kind = Value::Kind::kNumber;
-    out.num = std::strtod(s_.c_str() + start, nullptr);
-    return true;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
-
-// ---------------------------------------------------------- flattening --
-// A row becomes a flat map of numeric metrics; nested objects (the perf
-// counter blocks) flatten with a dotted prefix, JSON nulls are skipped
-// (perf-less hosts), strings/bools are ignored except the matching key.
-void flatten(const Value& v, const std::string& prefix,
-             std::map<std::string, double>& out) {
-  for (const auto& [key, val] : v.obj) {
-    const std::string name = prefix.empty() ? key : prefix + "." + key;
-    if (val.kind == Value::Kind::kNumber) {
-      out[name] = val.num;
-    } else if (val.kind == Value::Kind::kObject) {
-      flatten(val, name, out);
-    }
-  }
-}
 
 struct Row {
   std::string name;
   std::string status;  ///< empty when the artifact carries no status
-  std::map<std::string, double> metrics;
+  std::map<std::string, double> metrics;  ///< every numeric field
 };
 
-// Locate the row array ("instances" for table benches, "phases" for
-// bench_micro, "configs" for bench_obs_overhead) and its per-row key.
-// An artifact with none of those (bench_service writes one flat object)
-// becomes a single row named by its "bench" field.
-bool extract_rows(const Value& root, const char* path, std::vector<Row>& rows) {
-  const Value* arr = root.find("instances");
+// Locate the row array ("instances" for the table benches and
+// bench_incremental, "configs" for bench_obs_overhead) and read each
+// row under its key.
+bool extract_rows(const obs::JsonValue& root, const char* path,
+                  std::vector<Row>& rows) {
+  const obs::JsonValue* arr = root.get("instances");
   const char* key = "instance";
   if (arr == nullptr) {
-    arr = root.find("phases");
-    key = "phase";
-  }
-  if (arr == nullptr) {
-    arr = root.find("configs");
+    arr = root.get("configs");
     key = "config";
   }
-  if (arr == nullptr) {
-    Row row;
-    if (const Value* name = root.find("bench");
-        name != nullptr && name->kind == Value::Kind::kString) {
-      row.name = name->str;
-    } else {
-      row.name = path;
-    }
-    flatten(root, "", row.metrics);
-    if (row.metrics.empty()) {
-      std::fprintf(stderr, "bench_diff: %s has no numeric fields\n", path);
-      return false;
-    }
-    rows.push_back(std::move(row));
-    return true;
-  }
-  if (arr->kind != Value::Kind::kArray) {
-    std::fprintf(stderr, "bench_diff: %s: row container is not an array\n",
+  if (arr == nullptr || arr->kind != obs::JsonValue::Kind::kArray) {
+    std::fprintf(stderr,
+                 "bench_diff: %s has no \"instances\" or \"configs\" array\n",
                  path);
     return false;
   }
-  for (const Value& item : arr->arr) {
-    if (item.kind != Value::Kind::kObject) continue;
+  for (const obs::JsonValue& item : arr->array) {
+    if (!item.is_object()) continue;
     Row row;
-    if (const Value* name = item.find(key);
-        name != nullptr && name->kind == Value::Kind::kString) {
-      row.name = name->str;
-    } else {
-      row.name = "#" + std::to_string(rows.size());
+    row.name =
+        item.get_string(key).value_or("#" + std::to_string(rows.size()));
+    row.status = item.get_string("status").value_or("");
+    for (const auto& [field, val] : item.object) {
+      if (val.is_number()) row.metrics[field] = val.number;
     }
-    if (const Value* status = item.find("status");
-        status != nullptr && status->kind == Value::Kind::kString) {
-      row.status = status->str;
-    }
-    flatten(item, "", row.metrics);
     rows.push_back(std::move(row));
   }
   return true;
@@ -302,16 +82,13 @@ bool load(const char* path, std::vector<Row>& rows) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
-  Value root;
-  Parser parser(text);
-  if (!parser.parse(root) || root.kind != Value::Kind::kObject) {
-    std::fprintf(stderr, "bench_diff: %s: %s\n", path,
-                 parser.error().empty() ? "not a JSON object"
-                                        : parser.error().c_str());
+  const std::optional<obs::JsonValue> root = obs::json_parse(buf.str());
+  if (!root || !root->is_object()) {
+    std::fprintf(stderr, "bench_diff: %s: not a parseable JSON object\n",
+                 path);
     return false;
   }
-  return extract_rows(root, path, rows);
+  return extract_rows(*root, path, rows);
 }
 
 int usage() {
@@ -324,15 +101,6 @@ int usage() {
                "geomean new/old ratio exceeds R\n"
                "  --json       machine-readable output\n");
   return 2;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace
@@ -452,25 +220,25 @@ int main(int argc, char** argv) {
 
   if (json_out) {
     std::printf("{\"old\":\"%s\",\"new\":\"%s\",\"matched_rows\":%d,",
-                json_escape(old_path).c_str(), json_escape(new_path).c_str(),
-                matched);
+                obs::json_escape(old_path).c_str(),
+                obs::json_escape(new_path).c_str(), matched);
     std::printf("\"geomean_ratios\":{");
     bool first = true;
     for (const auto& [metric, g] : geomeans) {
       std::printf("%s\"%s\":%.6f", first ? "" : ",",
-                  json_escape(metric).c_str(), g);
+                  obs::json_escape(metric).c_str(), g);
       first = false;
     }
     std::printf("},\"cost_mismatches\":[");
     first = true;
     for (const std::string& m : cost_mismatches) {
-      std::printf("%s\"%s\"", first ? "" : ",", json_escape(m).c_str());
+      std::printf("%s\"%s\"", first ? "" : ",", obs::json_escape(m).c_str());
       first = false;
     }
     std::printf("],\"over_threshold\":[");
     first = true;
     for (const std::string& m : over_threshold) {
-      std::printf("%s\"%s\"", first ? "" : ",", json_escape(m).c_str());
+      std::printf("%s\"%s\"", first ? "" : ",", obs::json_escape(m).c_str());
       first = false;
     }
     std::printf("],\"regression\":%s}\n", regression ? "true" : "false");
