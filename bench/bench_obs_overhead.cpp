@@ -6,12 +6,10 @@
 //   flight     flight recorder on, everything else off — the production
 //              default (the recorder is always-on); the gate below keys
 //              on this config
-//   resource   resource accounting on, everything else off (arena /
-//              learnts gauges synced on GC and solve exit)
 //   hist       tracing off, histograms on (bucket index + two relaxed
 //              atomic adds per observation)
 //   trace      tracing on (to a file), histograms off
-//   all        everything on (trace + histograms + flight + resources)
+//   all        everything on (trace + histograms + flight)
 // — and writes BENCH_obs_overhead.json with per-config wall times and
 // the overhead ratio of each config against "off". The configs run
 // interleaved: each round times one optimize() run per config, and the
@@ -21,8 +19,7 @@
 // must stay within noise (a few percent) of the untelemetered baseline,
 // because production services run that way; the flight recorder (on,
 // trace off) must cost <= 5% — it is the always-on post-mortem path and
-// may not tax the solver; and resource accounting (also always-on in the
-// service) gets the same 5% budget.
+// may not tax the solver.
 //
 // Environment knobs:
 //   OPTALLOC_OBS_BENCH_REPEATS  rounds, i.e. optimize() runs per config
@@ -40,7 +37,6 @@
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/resource.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
 #include "workload/generator.hpp"
@@ -61,7 +57,6 @@ struct Config {
   bool trace;
   bool histograms;
   bool flight;
-  bool resource;
 };
 
 /// One timed optimize() run over `problem` under `cfg`.
@@ -69,7 +64,6 @@ double run_config(const alloc::Problem& problem, const Config& cfg,
                   const std::string& trace_path) {
   obs::set_histograms(cfg.histograms);
   obs::set_flight(cfg.flight);
-  obs::set_resources(cfg.resource);
   if (cfg.trace) {
     if (!obs::trace_open(trace_path)) {
       std::fprintf(stderr, "cannot open %s\n", trace_path.c_str());
@@ -88,7 +82,6 @@ double run_config(const alloc::Problem& problem, const Config& cfg,
   if (cfg.trace) obs::trace_close();
   obs::set_histograms(true);
   obs::set_flight(true);
-  obs::set_resources(true);
   return secs;
 }
 
@@ -111,12 +104,11 @@ int main() {
   const int reps = repeats();
 
   const Config configs[] = {
-      {"off", false, false, false, false},
-      {"flight", false, false, true, false},
-      {"resource", false, false, false, true},
-      {"hist", false, true, false, false},
-      {"trace", true, false, false, false},
-      {"all", true, true, true, true},
+      {"off", false, false, false},
+      {"flight", false, false, true},
+      {"hist", false, true, false},
+      {"trace", true, false, false},
+      {"all", true, true, true},
   };
 
   constexpr std::size_t kConfigs = std::size(configs);
@@ -143,14 +135,12 @@ int main() {
               "vs off", "ratio q1..q3");
   obs::JsonArray rows;
   double flight_ratio = 1.0;
-  double resource_ratio = 1.0;
   for (std::size_t c = 0; c < kConfigs; ++c) {
     const Config& cfg = configs[c];
     std::vector<double> ratios;
     for (int r = 0; r < reps; ++r) ratios.push_back(secs[c][r] / secs[0][r]);
     const double ratio = quantile(ratios, 0.5);
     if (std::string(cfg.name) == "flight") flight_ratio = ratio;
-    if (std::string(cfg.name) == "resource") resource_ratio = ratio;
     const double s_q1 = quantile(secs[c], 0.25);
     const double s_med = quantile(secs[c], 0.5);
     const double s_q3 = quantile(secs[c], 0.75);
@@ -163,7 +153,6 @@ int main() {
                   .boolean("trace", cfg.trace)
                   .boolean("histograms", cfg.histograms)
                   .boolean("flight", cfg.flight)
-                  .boolean("resource", cfg.resource)
                   .num("seconds_per_run", s_med)
                   .num("seconds_q1", s_q1)
                   .num("seconds_q3", s_q3)
@@ -172,14 +161,10 @@ int main() {
                   .num("ratio_q3", r_q3)
                   .build());
   }
-  // The flight recorder and resource accounting are always-on in
-  // production; each gets a 5% budget.
+  // The flight recorder is always-on in production; it gets a 5% budget.
   const bool flight_ok = flight_ratio <= 1.05;
   std::printf("flight-recorder overhead: %.1f%% (budget 5%%) -> %s\n",
               (flight_ratio - 1.0) * 100.0, flight_ok ? "OK" : "OVER");
-  const bool resource_ok = resource_ratio <= 1.05;
-  std::printf("resource-accounting overhead: %.1f%% (budget 5%%) -> %s\n",
-              (resource_ratio - 1.0) * 100.0, resource_ok ? "OK" : "OVER");
 
   const std::string path = "BENCH_obs_overhead.json";
   std::ofstream out(path, std::ios::trunc);
@@ -194,8 +179,6 @@ int main() {
              .num("ecus", static_cast<std::int64_t>(gen.num_ecus))
              .num("flight_overhead_ratio", flight_ratio)
              .boolean("flight_overhead_ok", flight_ok)
-             .num("resource_overhead_ratio", resource_ratio)
-             .boolean("resource_overhead_ok", resource_ok)
              .raw("configs", rows.build())
              .build()
       << '\n';

@@ -112,8 +112,9 @@ std::optional<ExhaustiveResult> exhaustive_search(
           }
         } else {
           std::vector<Ticks> extra(positions, 0);
+          // Only the ring's slot is ever non-empty: overwrite it in place.
+          std::vector<std::vector<Ticks>> extras(problem.arch.media.size());
           for (std::uint64_t s = 0; s < combos; ++s) {
-            std::vector<std::vector<Ticks>> extras(problem.arch.media.size());
             extras[static_cast<std::size_t>(ring_medium)] = extra;
             const auto candidate =
                 complete_allocation(problem, closures, placement, extras);

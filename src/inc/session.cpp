@@ -58,8 +58,8 @@ bool Session::sync_encoding(SessionResult& out) {
   for (const auto& [name, group] : groups_) {
     guard_assumptions_.push_back(group.guard);
   }
-  guards_res_.set(0, static_cast<std::int64_t>(groups_.size()));
-  dead_guards_res_.set(0, retired_guards_);
+  guards_gauge_.set(static_cast<std::int64_t>(groups_.size()));
+  dead_guards_gauge_.set(retired_guards_);
   return true;
 }
 

@@ -39,6 +39,7 @@
 #include "inc/core_explain.hpp"
 #include "inc/delta.hpp"
 #include "inc/patch.hpp"
+#include "obs/metrics.hpp"
 #include "rt/model.hpp"
 #include "sat/solver.hpp"
 #include "util/stopwatch.hpp"
@@ -90,8 +91,8 @@ class Session {
   // --- Capacity accounting --------------------------------------------
   // Retired guards stay in the clause database as dead weight (their
   // clauses are vacuously satisfied, never reclaimed); the ROADMAP's
-  // compaction trigger needs this fraction measured, and the resource
-  // registry ("inc.guards" / "inc.dead_guards") exposes it process-wide.
+  // compaction trigger needs this fraction measured, and the gauges
+  // "inc.guards" / "inc.dead_guards" expose it process-wide.
 
   /// Constraint groups currently guarded alive.
   std::size_t live_guards() const { return groups_.size(); }
@@ -124,8 +125,8 @@ class Session {
   std::vector<sat::Lit> guard_assumptions_;
   std::optional<std::int64_t> prev_optimum_;
   std::int64_t retired_guards_ = 0;
-  obs::ResourceTracker guards_res_{obs::resource("inc.guards")};
-  obs::ResourceTracker dead_guards_res_{obs::resource("inc.dead_guards")};
+  obs::GaugeTracker guards_gauge_{obs::gauge("inc.guards")};
+  obs::GaugeTracker dead_guards_gauge_{obs::gauge("inc.dead_guards")};
 };
 
 }  // namespace optalloc::inc

@@ -9,6 +9,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "obs/events.hpp"
 #include "obs/json.hpp"
 #include "util/mutex.hpp"
 
@@ -42,6 +43,12 @@ struct Shard {
   }
 };
 
+struct Watermark {
+  std::int64_t high = 0;
+  std::int64_t low = 0;
+  bool above = false;  ///< last reported side (hysteresis state)
+};
+
 struct Registry {
   util::Mutex mutex;
   std::vector<std::string> names OPTALLOC_GUARDED_BY(mutex);
@@ -64,6 +71,11 @@ struct Registry {
   std::vector<std::uint64_t> retired_hist[kMaxHistograms]
       OPTALLOC_GUARDED_BY(mutex);
   double retired_hist_sum[kMaxHistograms] OPTALLOC_GUARDED_BY(mutex) = {};
+  // Armed watermarks by metric name, with their hysteresis state.
+  std::map<std::string, Watermark, std::less<>> watermarks
+      OPTALLOC_GUARDED_BY(mutex);
+  // Lock-free fast-out for check_watermarks().
+  std::atomic<int> num_watermarks{0};
 };
 
 Registry& registry() {
@@ -233,6 +245,10 @@ void set(Metric m, std::int64_t value) {
   registry().gauges[m.id].store(value, std::memory_order_relaxed);
 }
 
+void adjust(Metric m, std::int64_t delta) {
+  registry().gauges[m.id].fetch_add(delta, std::memory_order_relaxed);
+}
+
 void record(Metric m, double seconds) {
   Shard& s = local_shard();
   s.value[m.id].fetch_add(1, std::memory_order_relaxed);
@@ -362,6 +378,63 @@ void reset_metrics() {
       }
       s->hist_sum[slot].store(0.0, std::memory_order_relaxed);
     }
+  }
+  for (auto& [name, w] : r.watermarks) w.above = false;
+}
+
+void set_watermark(std::string_view name, std::int64_t high,
+                   std::int64_t low) {
+  Registry& r = registry();
+  util::MutexLock lock(r.mutex);
+  if (high <= 0) {
+    r.watermarks.erase(std::string(name));
+  } else {
+    Watermark& w = r.watermarks[std::string(name)];
+    w.high = high;
+    w.low = std::min(low >= 0 ? low : high / 4 * 3, high);
+  }
+  r.num_watermarks.store(static_cast<int>(r.watermarks.size()),
+                         std::memory_order_relaxed);
+}
+
+void check_watermarks() {
+  Registry& r = registry();
+  if (r.num_watermarks.load(std::memory_order_relaxed) == 0) return;
+  // snapshot() takes the mutex itself; crossings are emitted after the
+  // table walk, outside it.
+  const std::vector<MetricValue> snap = snapshot();
+  struct Crossing {
+    std::string name;
+    bool above = false;
+    std::int64_t value = 0;
+    std::int64_t threshold = 0;
+  };
+  std::vector<Crossing> crossings;
+  {
+    util::MutexLock lock(r.mutex);
+    for (auto& [name, w] : r.watermarks) {
+      const auto it = std::lower_bound(
+          snap.begin(), snap.end(), name,
+          [](const MetricValue& v, const std::string& n) {
+            return v.name < n;
+          });
+      const std::int64_t value =
+          (it != snap.end() && it->name == name) ? it->value : 0;
+      if (!w.above && value >= w.high) {
+        w.above = true;
+        crossings.push_back({name, true, value, w.high});
+      } else if (w.above && value <= w.low) {
+        w.above = false;
+        crossings.push_back({name, false, value, w.low});
+      }
+    }
+  }
+  for (const Crossing& c : crossings) {
+    Event(ev::watermark)
+        .str("metric", c.name)
+        .str("level", c.above ? "high" : "normal")
+        .num("value", c.value)
+        .num("threshold", c.threshold);
   }
 }
 

@@ -13,7 +13,11 @@
 //
 // Four kinds:
 //   counter   — monotonically accumulated integer (merge = sum)
-//   gauge     — last-write-wins integer level (stored globally, not sharded)
+//   gauge     — integer level in one process-wide atomic slot (not
+//               sharded): set() overwrites it, adjust() moves it by a
+//               signed delta — the capacity gauges (clause-arena bytes,
+//               cache footprint, live sessions) are sums of many owners'
+//               shares, each kept honest by a GaugeTracker
 //   timer     — accumulated wall seconds + invocation count (merge = sum)
 //   histogram — log-linear (HDR-style) distribution of positive doubles:
 //               each power-of-two octave is split into kHistSubBuckets
@@ -55,6 +59,31 @@ void add(Metric m, std::int64_t delta = 1);
 
 /// Gauge: set the process-wide level.
 void set(Metric m, std::int64_t value);
+
+/// Gauge: move the process-wide level by a signed delta (relaxed atomic
+/// add). Owners that share a gauge each add what they hold and subtract
+/// it again when they let go, so the level is the sum of live shares.
+void adjust(Metric m, std::int64_t delta);
+
+/// One owner's share of a gauge. set() publishes the difference against
+/// the previous set(); the destructor retracts the rest, so a tracked
+/// object's contribution disappears with it.
+class GaugeTracker {
+ public:
+  explicit GaugeTracker(Metric m) : m_(m) {}
+  ~GaugeTracker() { set(0); }
+  GaugeTracker(const GaugeTracker&) = delete;
+  GaugeTracker& operator=(const GaugeTracker&) = delete;
+
+  void set(std::int64_t value) {
+    adjust(m_, value - value_);
+    value_ = value;
+  }
+
+ private:
+  Metric m_;
+  std::int64_t value_ = 0;
+};
 
 /// Timer: accumulate one observation of `seconds`.
 void record(Metric m, double seconds);
@@ -145,8 +174,22 @@ struct MetricValue {
 /// Merge-on-read view of every registered metric, sorted by name.
 std::vector<MetricValue> snapshot();
 
-/// Zero all shards, retired totals and gauges (registrations persist).
+/// Zero all shards, retired totals and gauges (registrations and armed
+/// watermarks persist).
 void reset_metrics();
+
+/// Arm (or re-arm) a watermark on metric `name`: `low` defaults to 3/4
+/// of `high` when negative; high <= 0 disarms.
+void set_watermark(std::string_view name, std::int64_t high,
+                   std::int64_t low = -1);
+
+/// Compare every armed watermark against snapshot() and emit a
+/// `watermark` trace event (fields: metric, level "high"/"normal",
+/// value, threshold) on each upward crossing of `high` and again on the
+/// way back down to `low` — hysteresis, so a level hovering at the line
+/// does not flood the trace. Driven by the daemon's sampler; one relaxed
+/// load when nothing is armed.
+void check_watermarks();
 
 /// "name kind value [seconds]" per line; omits zero entries unless
 /// `include_zero`.

@@ -569,7 +569,7 @@ void Solver::garbage_collect() {
   }
   arena_.swap(to);
   ++stats_.gc_runs;
-  sync_resource_usage();
+  sync_capacity_gauges();
   if (obs::trace_enabled()) {
     obs::Event(obs::ev::solver_gc)
         .num("gc_runs", stats_.gc_runs)
@@ -890,7 +890,7 @@ LBool Solver::solve(std::span<const Lit> assumptions, Budget budget) {
   cancel_until(0);
   assumptions_.clear();
   flush_solve_metrics(stats_before, stats_);
-  sync_resource_usage();
+  sync_capacity_gauges();
   return status;
 }
 
@@ -1053,14 +1053,14 @@ void Solver::log_level0_conflict(CRef confl) {
   proof_->add_lemma({}, hints_);
 }
 
-void Solver::sync_resource_usage() {
-  // Arena sizes are in 32-bit words (clause.hpp); report bytes. Item
-  // counts: total stored clauses for the arena, learnts split out so the
-  // dashboard can show DB growth against the reduce-DB schedule.
-  arena_res_.set(static_cast<std::int64_t>(arena_.size()) * 4,
-                 num_clauses() + num_learnts());
-  wasted_res_.set(static_cast<std::int64_t>(arena_.wasted()) * 4, 0);
-  learnts_res_.set(0, num_learnts());
+void Solver::sync_capacity_gauges() {
+  // Arena sizes are in 32-bit words (clause.hpp); report bytes. Learnts
+  // are split out of the stored-clause count so the dashboard can show
+  // DB growth against the reduce-DB schedule.
+  arena_bytes_.set(static_cast<std::int64_t>(arena_.size()) * 4);
+  arena_clauses_.set(num_clauses() + num_learnts());
+  wasted_bytes_.set(static_cast<std::int64_t>(arena_.wasted()) * 4);
+  learnt_clauses_.set(num_learnts());
 }
 
 }  // namespace optalloc::sat

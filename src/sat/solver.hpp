@@ -14,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/resource.hpp"
+#include "obs/metrics.hpp"
 #include "sat/clause.hpp"
 #include "sat/heap.hpp"
 #include "sat/proof.hpp"
@@ -316,13 +316,14 @@ class Solver {
   std::vector<CRef> clauses_;  ///< problem clauses
   std::vector<CRef> learnts_;  ///< learnt + theory-reason clauses
 
-  // Capacity accounting (obs/resource.hpp): absolute arena footprint,
-  // refreshed at solve boundaries and after GC so `alloc_top` and the
-  // watermark sampler see live/wasted bytes; retracted on destruction.
-  obs::ResourceTracker arena_res_{obs::resource("sat.arena")};
-  obs::ResourceTracker wasted_res_{obs::resource("sat.arena.wasted")};
-  obs::ResourceTracker learnts_res_{obs::resource("sat.learnts")};
-  void sync_resource_usage();
+  // Capacity gauges: this solver's share of the process-wide arena
+  // footprint, refreshed at solve exit and after GC so `alloc_top` and
+  // the watermark sampler see live/wasted bytes; retracted on destruction.
+  obs::GaugeTracker arena_bytes_{obs::gauge("sat.arena.bytes")};
+  obs::GaugeTracker arena_clauses_{obs::gauge("sat.arena.clauses")};
+  obs::GaugeTracker wasted_bytes_{obs::gauge("sat.arena.wasted_bytes")};
+  obs::GaugeTracker learnt_clauses_{obs::gauge("sat.learnts")};
+  void sync_capacity_gauges();
 
   // Assignment state.
   std::vector<LBool> assigns_;

@@ -13,13 +13,13 @@ ResultCache::ResultCache(std::size_t capacity, int shards) {
 }
 
 ResultCache::~ResultCache() {
-  // Retract this cache's contribution from the resource registry: tests
-  // and benches build many schedulers, and their caches must not leave
-  // phantom occupancy behind.
+  // Retract this cache's share of the capacity gauges: tests and benches
+  // build many schedulers, and their caches must not leave phantom
+  // occupancy behind.
   for (const Shard& s : shards_) {
     util::MutexLock lock(s.mu);
-    obs::res_add(res_, -static_cast<std::int64_t>(s.bytes),
-                 -static_cast<std::int64_t>(s.lru.size()));
+    obs::adjust(bytes_gauge_, -static_cast<std::int64_t>(s.bytes));
+    obs::adjust(entries_gauge_, -static_cast<std::int64_t>(s.lru.size()));
   }
 }
 
@@ -60,10 +60,8 @@ void ResultCache::put(const Fingerprint& key, std::string canonical_text,
     s.lru.splice(s.lru.begin(), s.lru, it->second);
     const std::size_t after = entry_bytes(*it->second);
     s.bytes += after - before;
-    obs::res_add(res_,
-                 static_cast<std::int64_t>(after) -
-                     static_cast<std::int64_t>(before),
-                 0);
+    obs::adjust(bytes_gauge_, static_cast<std::int64_t>(after) -
+                                  static_cast<std::int64_t>(before));
     return;
   }
   if (s.lru.size() >= per_shard_capacity_) {
@@ -72,14 +70,16 @@ void ResultCache::put(const Fingerprint& key, std::string canonical_text,
     s.lru.pop_back();
     ++s.stats.evictions;
     s.bytes -= victim;
-    obs::res_add(res_, -static_cast<std::int64_t>(victim), -1);
+    obs::adjust(bytes_gauge_, -static_cast<std::int64_t>(victim));
+    obs::adjust(entries_gauge_, -1);
   }
   s.lru.push_front(Entry{key, std::move(canonical_text), std::move(answer)});
   s.index.emplace(key.a, s.lru.begin());
   ++s.stats.insertions;
   const std::size_t added = entry_bytes(s.lru.front());
   s.bytes += added;
-  obs::res_add(res_, static_cast<std::int64_t>(added), 1);
+  obs::adjust(bytes_gauge_, static_cast<std::int64_t>(added));
+  obs::adjust(entries_gauge_, 1);
 }
 
 CacheStats ResultCache::stats() const {

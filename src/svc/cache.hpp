@@ -19,7 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/resource.hpp"
+#include "obs/metrics.hpp"
 #include "rt/model.hpp"
 #include "svc/fingerprint.hpp"
 #include "util/mutex.hpp"
@@ -100,7 +100,9 @@ class ResultCache {
 
   std::size_t per_shard_capacity_;
   std::vector<Shard> shards_;
-  obs::Resource res_ = obs::resource("svc.cache");
+  /// Capacity gauges, moved under the shard mutexes by exact deltas.
+  obs::Metric bytes_gauge_ = obs::gauge("svc.cache.bytes");
+  obs::Metric entries_gauge_ = obs::gauge("svc.cache.entries");
 };
 
 }  // namespace optalloc::svc

@@ -39,7 +39,10 @@ struct SvcMetrics {
   obs::Metric cache_hits = obs::counter("svc.cache.hits");
   obs::Metric cache_misses = obs::counter("svc.cache.misses");
   obs::Metric deadline_expired = obs::counter("svc.deadline_expired");
+  // Capacity gauges, moved by exact deltas under mu_.
   obs::Metric queue_depth = obs::gauge("svc.queue_depth");
+  obs::Metric queue_bytes = obs::gauge("svc.queue.bytes");
+  obs::Metric sessions_live = obs::gauge("svc.sessions.live");
   obs::Metric queue_time = obs::timer("svc.time.queue");
   obs::Metric solve_time = obs::timer("svc.time.solve");
   // Distributions: ms-scale histograms scrapeable via the metrics verb.
@@ -95,7 +98,7 @@ struct Scheduler::Job {
   /// every event of this request carries the same "req" field.
   obs::SpanContext ctx;
   std::uint64_t queue_span = 0;  ///< open queue_wait span (cross-thread)
-  std::size_t queue_bytes = 0;   ///< "svc.queue" contribution while queued
+  std::size_t queue_bytes = 0;   ///< "svc.queue.bytes" share while queued
   // Live-introspection fields (the inspect verb): updated with relaxed
   // stores from the worker's progress callback, read lock-free by any
   // connection thread. Staleness is bounded by one SOLVE call.
@@ -198,7 +201,14 @@ Scheduler::Scheduler(const SchedulerOptions& options)
   }
 }
 
-Scheduler::~Scheduler() { shutdown(/*drain=*/false); }
+Scheduler::~Scheduler() {
+  shutdown(/*drain=*/false);
+  // Sessions still open die with the scheduler: retract their share of
+  // the live-session gauge.
+  util::MutexLock lock(mu_);
+  obs::adjust(metrics().sessions_live,
+              -static_cast<std::int64_t>(sessions_.size()));
+}
 
 std::optional<std::string> Scheduler::submit(JobRequest request) {
   auto job = std::make_shared<Job>();
@@ -283,10 +293,9 @@ std::optional<std::string> Scheduler::submit(JobRequest request) {
     job->queue_span = obs::span_begin_event("queue_wait", job->ctx);
     job->queue_bytes = job->canon.text.size();
     queue_.push_back(job);
-    obs::set(metrics().queue_depth,
-             static_cast<std::int64_t>(queue_.size()));
-    obs::res_add(queue_res_,
-                 static_cast<std::int64_t>(job->queue_bytes), 1);
+    obs::adjust(metrics().queue_depth, 1);
+    obs::adjust(metrics().queue_bytes,
+                static_cast<std::int64_t>(job->queue_bytes));
   }
   work_cv_.notify_one();
   return job->id;
@@ -389,7 +398,7 @@ std::optional<std::pair<std::string, SessionAnswer>> Scheduler::session_open(
     entry->id = "s" + std::to_string(++next_session_id_);
     sessions_.emplace(entry->id, entry);
     ++counters_.sessions_opened;
-    obs::res_add(sessions_res_, 0, 1);
+    obs::adjust(metrics().sessions_live, 1);
   }
   obs::add(metrics().sessions_opened);
   {
@@ -436,7 +445,7 @@ bool Scheduler::session_close(const std::string& id) {
     entry = it->second;
     sessions_.erase(it);
     ++counters_.sessions_closed;
-    obs::res_add(sessions_res_, 0, -1);
+    obs::adjust(metrics().sessions_live, -1);
   }
   obs::add(metrics().sessions_closed);
   // A solve still in flight on another connection thread keeps the entry
@@ -579,10 +588,9 @@ void Scheduler::worker_loop() {
       job = queue_.front();
       queue_.pop_front();
       job->state = JobState::kRunning;
-      obs::set(metrics().queue_depth,
-               static_cast<std::int64_t>(queue_.size()));
-      obs::res_add(queue_res_,
-                   -static_cast<std::int64_t>(job->queue_bytes), -1);
+      obs::adjust(metrics().queue_depth, -1);
+      obs::adjust(metrics().queue_bytes,
+                  -static_cast<std::int64_t>(job->queue_bytes));
     }
     // Panic guard: an exception escaping a solve (OOM in the encoder, a
     // bug) must not take the worker thread — and with it 1/N of the

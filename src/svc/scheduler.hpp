@@ -41,7 +41,6 @@
 #include "inc/patch.hpp"
 #include "inc/session.hpp"
 #include "obs/metrics.hpp"
-#include "obs/resource.hpp"
 #include "svc/cache.hpp"
 #include "svc/fingerprint.hpp"
 #include "util/mutex.hpp"
@@ -299,9 +298,6 @@ class Scheduler {
   const std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
   std::int64_t start_unix_ms_ = 0;  ///< set once in the ctor
-  /// Capacity accounting: queued-request bytes/count and open sessions.
-  obs::Resource queue_res_ = obs::resource("svc.queue");
-  obs::Resource sessions_res_ = obs::resource("svc.sessions");
 };
 
 }  // namespace optalloc::svc

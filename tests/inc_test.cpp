@@ -23,7 +23,6 @@
 #include "inc/session.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/resource.hpp"
 #include "workload/generator.hpp"
 
 namespace optalloc::inc {
@@ -251,8 +250,8 @@ TEST(IncSession, ReviseMatchesColdOnEditedInstance) {
 
 TEST(IncSession, DeadGuardAccountingTracksRetirement) {
   const auto guard_level = [](const char* name) {
-    for (const auto& r : obs::resource_snapshot()) {
-      if (r.name == name) return r.items;
+    for (const auto& m : obs::snapshot()) {
+      if (m.name == name) return m.value;
     }
     return std::int64_t{0};
   };

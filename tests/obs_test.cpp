@@ -21,7 +21,6 @@
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/resource.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "workload/tindell.hpp"
@@ -750,96 +749,80 @@ TEST(Flight, DumpWhileWritingNeverYieldsTornRecords) {
   writer.join();
 }
 
-// --- Resource registry -------------------------------------------------
+// --- Capacity gauges ---------------------------------------------------
 
-/// Snapshot lookup helper; (0,0) when the resource is absent.
-obs::ResourceValue res_lookup(const char* name) {
-  for (const auto& r : obs::resource_snapshot()) {
-    if (r.name == name) return r;
+/// Current level of gauge `name`; 0 when it is not registered.
+std::int64_t gauge_value(const char* name) {
+  for (const auto& m : obs::snapshot()) {
+    if (m.name == name) return m.value;
   }
-  return {};
+  return 0;
 }
 
-TEST(ResourceRegistry, DeltasMergeAcrossThreads) {
-  obs::reset_resources();
-  const obs::Resource r = obs::resource("test.res.merge");
+TEST(CapacityGauge, DeltasMergeAcrossThreads) {
+  obs::reset_metrics();
+  const obs::Metric g = obs::gauge("test.gauge.merge");
   constexpr int kThreads = 4;
   constexpr int kIters = 2000;
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([r] {
+    workers.emplace_back([g] {
       for (int i = 0; i < kIters; ++i) {
-        obs::res_add(r, 64, 1);
-        if (i % 2 == 0) obs::res_add(r, -16, 0);
+        obs::adjust(g, 64);
+        if (i % 2 == 0) obs::adjust(g, -16);
       }
     });
   }
-  // Every writer exits before the snapshot: their totals must fold into
-  // the retired accumulator, not vanish with the threads.
+  // Every writer exits before the snapshot: their deltas must survive
+  // the threads.
   for (auto& w : workers) w.join();
-  const auto v = res_lookup("test.res.merge");
-  EXPECT_EQ(v.bytes, kThreads * (kIters * 64 - (kIters / 2) * 16));
-  EXPECT_EQ(v.items, kThreads * kIters);
+  EXPECT_EQ(gauge_value("test.gauge.merge"),
+            kThreads * (kIters * 64 - (kIters / 2) * 16));
 }
 
-TEST(ResourceRegistry, TrackerDiffsAndRetractsOnDestruction) {
-  obs::reset_resources();
+TEST(CapacityGauge, TrackerDiffsAndRetractsOnDestruction) {
+  obs::reset_metrics();
+  const obs::Metric g = obs::gauge("test.gauge.tracker");
+  obs::adjust(g, 7);  // another owner's share, untouched by the tracker
   {
-    obs::ResourceTracker tracker(obs::resource("test.res.tracker"));
-    tracker.set(1000, 5);
-    auto v = res_lookup("test.res.tracker");
-    EXPECT_EQ(v.bytes, 1000);
-    EXPECT_EQ(v.items, 5);
-    tracker.set(400, 2);  // shrink: only the delta is published
-    v = res_lookup("test.res.tracker");
-    EXPECT_EQ(v.bytes, 400);
-    EXPECT_EQ(v.items, 2);
+    obs::GaugeTracker tracker(g);
+    tracker.set(1000);
+    EXPECT_EQ(gauge_value("test.gauge.tracker"), 1007);
+    tracker.set(400);  // shrink: only the delta is published
+    EXPECT_EQ(gauge_value("test.gauge.tracker"), 407);
   }
-  const auto v = res_lookup("test.res.tracker");
-  EXPECT_EQ(v.bytes, 0);
-  EXPECT_EQ(v.items, 0);
+  EXPECT_EQ(gauge_value("test.gauge.tracker"), 7);
 }
 
-TEST(ResourceRegistry, DisabledGateDropsWrites) {
-  obs::reset_resources();
-  const obs::Resource r = obs::resource("test.res.gate");
-  obs::set_resources(false);
-  obs::res_add(r, 4096, 7);
-  obs::set_resources(true);
-  const auto v = res_lookup("test.res.gate");
-  EXPECT_EQ(v.bytes, 0);
-  EXPECT_EQ(v.items, 0);
-}
-
-TEST(ResourceRegistry, WatermarkEmitsOnCrossingWithHysteresis) {
-  obs::reset_resources();
-  const obs::Resource r = obs::resource("test.res.wm");
-  obs::set_resource_watermark("test.res.wm", 1000, 500);
+TEST(CapacityGauge, WatermarkEmitsOnCrossingWithHysteresis) {
+  obs::reset_metrics();
+  const obs::Metric g = obs::gauge("test.gauge.wm");
+  obs::set_watermark("test.gauge.wm", 1000, 500);
   std::ostringstream sink;
   obs::trace_to_stream(&sink);
 
-  obs::res_add(r, 1500, 1);
-  obs::check_resource_watermarks();  // 1500 > 1000: "high"
-  obs::res_add(r, -600, 0);
-  obs::check_resource_watermarks();  // 900: inside the hysteresis band
-  obs::res_add(r, -500, 0);
-  obs::check_resource_watermarks();  // 400 <= 500: "normal"
-  obs::res_add(r, 800, 0);
-  obs::check_resource_watermarks();  // 1200: "high" again
+  obs::adjust(g, 1500);
+  obs::check_watermarks();  // 1500 > 1000: "high"
+  obs::adjust(g, -600);
+  obs::check_watermarks();  // 900: inside the hysteresis band
+  obs::adjust(g, -500);
+  obs::check_watermarks();  // 400 <= 500: "normal"
+  obs::adjust(g, 800);
+  obs::check_watermarks();  // 1200: "high" again
   obs::trace_close();
-  obs::set_resource_watermark("test.res.wm", 0);  // disarm
+  obs::set_watermark("test.gauge.wm", 0);  // disarm
 
-  std::vector<std::pair<std::string, double>> crossings;  // level, bytes
+  std::vector<std::pair<std::string, double>> crossings;  // level, value
   std::istringstream lines(sink.str());
   std::string line;
   while (std::getline(lines, line)) {
     const auto ev = obs::json_parse(line);
     ASSERT_TRUE(ev.has_value()) << line;
-    if (ev->get_string("type") != "resource_watermark") continue;
-    EXPECT_EQ(ev->get_string("resource"), "test.res.wm");
+    if (ev->get_string("type") != "watermark") continue;
+    EXPECT_EQ(ev->get_string("metric"), "test.gauge.wm");
     ASSERT_TRUE(ev->get_number("threshold").has_value());
     crossings.emplace_back(*ev->get_string("level"),
-                           *ev->get_number("bytes"));
+                           *ev->get_number("value"));
   }
   ASSERT_EQ(crossings.size(), 3u);
   EXPECT_EQ(crossings[0].first, "high");
@@ -850,27 +833,25 @@ TEST(ResourceRegistry, WatermarkEmitsOnCrossingWithHysteresis) {
   EXPECT_EQ(crossings[2].second, 1200);
 }
 
-TEST(ResourceRegistry, ConcurrentAddWhileSnapshot) {
-  obs::reset_resources();
-  const obs::Resource r = obs::resource("test.res.race");
+TEST(CapacityGauge, ConcurrentAdjustWhileSnapshot) {
+  obs::reset_metrics();
+  const obs::Metric g = obs::gauge("test.gauge.race");
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      obs::res_add(r, 128, 1);
-      obs::res_add(r, -128, -1);
+      obs::adjust(g, 128);
+      obs::adjust(g, -128);
     }
   });
   for (int i = 0; i < 200; ++i) {
-    const auto v = res_lookup("test.res.race");
+    const std::int64_t v = gauge_value("test.gauge.race");
     // The writer adds then retracts; any interleaving of the two relaxed
-    // adds yields a level of 0 or 128 bytes, never garbage.
-    EXPECT_TRUE(v.bytes == 0 || v.bytes == 128) << v.bytes;
+    // adds yields a level of 0 or 128, never garbage.
+    EXPECT_TRUE(v == 0 || v == 128) << v;
   }
   stop.store(true, std::memory_order_relaxed);
   writer.join();
-  const auto v = res_lookup("test.res.race");
-  EXPECT_EQ(v.bytes, 0);
-  EXPECT_EQ(v.items, 0);
+  EXPECT_EQ(gauge_value("test.gauge.race"), 0);
 }
 
 // --- Time-series rings -------------------------------------------------
@@ -927,12 +908,12 @@ TEST(TimeSeries, WindowFilterDropsOldSamples) {
 
 TEST(TimeSeries, SampleNowDerivesQuantilesAndResources) {
   obs::reset_timeseries();
-  obs::reset_resources();
+  obs::reset_metrics();
   const obs::Metric h = obs::histogram("test.ts.hist_ms");
   obs::observe(h, 5.0);
   obs::observe(h, 50.0);
-  const obs::Resource r = obs::resource("test.ts.res");
-  obs::res_add(r, 4096, 3);
+  // A capacity gauge is sampled by name like any other gauge.
+  obs::adjust(obs::gauge("test.ts.bytes"), 4096);
   obs::timeseries_sample_now();
 
   const auto p99 = obs::timeseries_query("test.ts.hist_ms.p99");
@@ -941,12 +922,9 @@ TEST(TimeSeries, SampleNowDerivesQuantilesAndResources) {
   const auto count = obs::timeseries_query("test.ts.hist_ms.count");
   ASSERT_EQ(count.size(), 1u);
   EXPECT_EQ(count[0].value, 2.0);
-  const auto bytes = obs::timeseries_query("res.test.ts.res.bytes");
+  const auto bytes = obs::timeseries_query("test.ts.bytes");
   ASSERT_EQ(bytes.size(), 1u);
   EXPECT_EQ(bytes[0].value, 4096.0);
-  const auto items = obs::timeseries_query("res.test.ts.res.items");
-  ASSERT_EQ(items.size(), 1u);
-  EXPECT_EQ(items[0].value, 3.0);
 
   obs::timeseries_sample_now();
   EXPECT_EQ(obs::timeseries_query("test.ts.hist_ms.p99").size(), 2u);

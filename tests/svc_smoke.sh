@@ -205,8 +205,8 @@ esac
 # --- Capacity telemetry: query verb + alloc_top dashboard ---------------
 
 # Open a session and run a feasible revise: the warm solver keeps its
-# clause arena alive (res.sat.arena.bytes) and the revise retires at
-# least one constraint guard (res.inc.dead_guards.items).
+# clause arena alive (sat.arena.bytes) and the revise retires at least
+# one constraint guard (inc.dead_guards).
 OPEN=$("$CLIENT" --socket "$SOCK" session-open "$PROBLEM" sum-trt) \
   || fail "session-open failed"
 SESSION=$(printf '%s\n' "$OPEN" | sed -n 's/.*"session":"\([^"]*\)".*/\1/p')
@@ -218,11 +218,11 @@ SESSION=$(printf '%s\n' "$OPEN" | sed -n 's/.*"session":"\([^"]*\)".*/\1/p')
 # Give the 0.2 s sampler time to take at least two ticks.
 sleep 0.6
 
-# Catalogue mode: the rings must include resource series.
+# Catalogue mode: the rings must include the capacity gauges.
 CATALOGUE=$("$CLIENT" --socket "$SOCK" query) || fail "query verb failed"
 case "$CATALOGUE" in
-  *'"metric":"res.sat.arena.bytes"'*) ;;
-  *) fail "query catalogue lacks res.sat.arena.bytes: $CATALOGUE" ;;
+  *'"metric":"sat.arena.bytes"'*) ;;
+  *) fail "query catalogue lacks sat.arena.bytes: $CATALOGUE" ;;
 esac
 
 # Series mode: the revise-latency p99 must have >= 2 samples, each a

@@ -28,7 +28,6 @@
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/resource.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "rt/verify.hpp"
@@ -205,16 +204,21 @@ TEST(ResultCache, CollisionDegradesToMiss) {
   EXPECT_TRUE(cache.get({42, 1}, "text-a").has_value());
 }
 
-/// Current registry level of the "svc.cache" resource.
-obs::ResourceValue cache_resource() {
-  for (const auto& r : obs::resource_snapshot()) {
-    if (r.name == "svc.cache") return r;
+/// Current level of gauge `name`; 0 when it is not registered.
+std::int64_t gauge_level(const char* name) {
+  for (const auto& m : obs::snapshot()) {
+    if (m.name == name) return m.value;
   }
-  return {};
+  return 0;
+}
+
+/// Current level of the cache's capacity gauges: {bytes, entries}.
+std::pair<std::int64_t, std::int64_t> cache_gauges() {
+  return {gauge_level("svc.cache.bytes"), gauge_level("svc.cache.entries")};
 }
 
 TEST(ResultCache, AccountsBytesAndShardOccupancy) {
-  const obs::ResourceValue before = cache_resource();
+  const auto before = cache_gauges();
   {
     ResultCache cache(/*capacity=*/2, /*shards=*/1);
     EXPECT_EQ(cache.bytes(), 0u);
@@ -238,15 +242,24 @@ TEST(ResultCache, AccountsBytesAndShardOccupancy) {
     EXPECT_NE(cache.bytes(), 0u);
     EXPECT_LE(cache.bytes(), before_evict + 1024);
 
-    const obs::ResourceValue during = cache_resource();
-    EXPECT_EQ(during.bytes - before.bytes,
+    const auto during = cache_gauges();
+    EXPECT_EQ(during.first - before.first,
               static_cast<std::int64_t>(cache.bytes()));
-    EXPECT_EQ(during.items - before.items, 2);
+    EXPECT_EQ(during.second - before.second, 2);
+
+    // The capacity gauges reach the `metrics` verb's document and the
+    // Prometheus exposition like every other metric.
+    const auto doc = obs::json_parse(obs::metrics_full_json());
+    ASSERT_TRUE(doc.has_value());
+    const obs::JsonValue* entry = doc->get("svc.cache.bytes");
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->get_string("kind"), "gauge");
+    EXPECT_GT(entry->get_number("value").value_or(0.0), 0.0);
+    const std::string prom = obs::prometheus_from_snapshot(obs::snapshot());
+    EXPECT_NE(prom.find("# TYPE svc_cache_bytes gauge"), std::string::npos);
   }
-  // Destruction retracts the cache's whole footprint from the registry.
-  const obs::ResourceValue after = cache_resource();
-  EXPECT_EQ(after.bytes, before.bytes);
-  EXPECT_EQ(after.items, before.items);
+  // Destruction retracts the cache's whole footprint from the gauges.
+  EXPECT_EQ(cache_gauges(), before);
 }
 
 // --- Scheduler ---------------------------------------------------------
@@ -552,6 +565,20 @@ TEST(SchedulerSession, OpenReviseCloseLifecycle) {
   EXPECT_EQ(end.sessions_closed, 1u);
   EXPECT_EQ(end.active_sessions, 0u);
   scheduler.shutdown(/*drain=*/true);
+}
+
+TEST(SchedulerSession, OpenSessionsLeaveTheLiveGaugeWithTheScheduler) {
+  const std::int64_t before = gauge_level("svc.sessions.live");
+  {
+    Scheduler scheduler(quick_options(1));
+    JobRequest open;
+    open.problem = parse(kSystem);
+    open.objective = alloc::Objective::sum_trt();
+    ASSERT_TRUE(scheduler.session_open(std::move(open)).has_value());
+    EXPECT_EQ(gauge_level("svc.sessions.live"), before + 1);
+  }
+  // Destroyed with the session still open: its share is retracted.
+  EXPECT_EQ(gauge_level("svc.sessions.live"), before);
 }
 
 TEST(SchedulerSession, ReviseDoesNotPoisonBaseCacheEntry) {
@@ -1427,8 +1454,8 @@ TEST(Server, QueryVerbServesSeriesEndToEnd) {
     names.insert(*row.get_string("metric"));
   }
   EXPECT_EQ(names.count("svc.request_ms.p99"), 1u);
-  EXPECT_EQ(names.count("res.svc.cache.bytes"), 1u);
-  EXPECT_EQ(names.count("res.sat.arena.bytes"), 1u);
+  EXPECT_EQ(names.count("svc.cache.bytes"), 1u);
+  EXPECT_EQ(names.count("sat.arena.bytes"), 1u);
 
   const auto doc = obs::json_parse(server.handle_line(
       "{\"verb\":\"query\",\"metric\":\"svc.request_ms.p99\","

@@ -6,7 +6,7 @@
 //               [--cache 256] [--anneal 2000] [--trace FILE] [--stats]
 //               [--metrics-interval S] [--flight-dump FILE]
 //               [--no-inprocess] [--inprocess-interval N]
-//               [--watermark NAME:HIGH[:LOW]]
+//               [--watermark GAUGE:HIGH[:LOW]]
 //   alloc_serve --tcp 7421 ...
 //
 // SIGTERM / SIGINT trigger a graceful drain: no new requests are
@@ -15,11 +15,12 @@
 // service counters on exit. --metrics-interval S drives the sampler
 // thread every S seconds: each tick records the whole registry into the
 // in-process time-series rings (the `query` verb / alloc_top's data),
-// checks the armed resource watermarks, and — while tracing is on —
-// emits a "metrics_snapshot" trace event (full registry, flat form).
-// --watermark arms a byte threshold on a resource ("sat.arena:8388608"
-// or "svc.cache:1048576:786432"); crossings emit `resource_watermark`
-// trace events with hysteresis (LOW defaults to 3/4 of HIGH).
+// checks the armed watermarks, and — while tracing is on — emits a
+// "metrics_snapshot" trace event (full registry, flat form).
+// --watermark arms a threshold on a gauge ("sat.arena.bytes:8388608" or
+// "svc.cache.bytes:1048576:786432"; plain decimal integers, LOW <= HIGH);
+// crossings emit `watermark` trace events with hysteresis (LOW defaults
+// to 3/4 of HIGH).
 //
 // Post-mortem: a fatal signal (SIGSEGV/SIGBUS/SIGFPE/SIGILL/SIGABRT)
 // dumps the flight-recorder rings — the last telemetry records of every
@@ -30,17 +31,20 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 
 #include "obs/events.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
-#include "obs/resource.hpp"
 #include "obs/timeseries.hpp"
 #include "svc/server.hpp"
 
@@ -59,27 +63,33 @@ int usage() {
       << "                   [--anneal ITERS] [--trace FILE] [--stats]\n"
       << "                   [--metrics-interval S] [--flight-dump FILE]\n"
       << "                   [--no-inprocess] [--inprocess-interval N]\n"
-      << "                   [--watermark NAME:HIGH[:LOW]]\n";
+      << "                   [--watermark GAUGE:HIGH[:LOW]]\n";
   return 2;
 }
 
-/// Parse "NAME:HIGH[:LOW]" and arm the watermark. False on bad syntax.
-bool arm_watermark(const std::string& spec) {
+/// The whole of `s` as a decimal int64: no sign, suffix or overflow.
+bool parse_level(std::string_view s, std::int64_t& out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  return ec == std::errc() && ptr == end && out >= 0;
+}
+
+/// Parse "GAUGE:HIGH[:LOW]" and arm the watermark. False on bad syntax,
+/// a non-positive HIGH or LOW > HIGH.
+bool arm_watermark(std::string_view spec) {
   const std::size_t c1 = spec.find(':');
-  if (c1 == std::string::npos || c1 == 0) return false;
-  const std::string name = spec.substr(0, c1);
-  const std::size_t c2 = spec.find(':', c1 + 1);
-  const std::string high_s =
-      c2 == std::string::npos ? spec.substr(c1 + 1)
-                              : spec.substr(c1 + 1, c2 - c1 - 1);
-  const long long high = std::atoll(high_s.c_str());
-  if (high <= 0) return false;
-  long long low = -1;
-  if (c2 != std::string::npos) {
-    low = std::atoll(spec.substr(c2 + 1).c_str());
-    if (low < 0 || low > high) return false;
+  if (c1 == std::string_view::npos || c1 == 0) return false;
+  const std::string_view name = spec.substr(0, c1);
+  const std::string_view levels = spec.substr(c1 + 1);
+  const std::size_t c2 = levels.find(':');
+  std::int64_t high = 0;
+  if (!parse_level(levels.substr(0, c2), high) || high == 0) return false;
+  std::int64_t low = -1;
+  if (c2 != std::string_view::npos &&
+      (!parse_level(levels.substr(c2 + 1), low) || low > high)) {
+    return false;
   }
-  optalloc::obs::set_resource_watermark(name, high, low);
+  optalloc::obs::set_watermark(name, high, low);
   return true;
 }
 
@@ -146,8 +156,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--watermark") {
       const char* v = next();
       if (v == nullptr || !arm_watermark(v)) {
-        std::cerr << "alloc_serve: --watermark wants NAME:HIGH[:LOW] "
-                     "(bytes)\n";
+        std::cerr << "alloc_serve: --watermark wants GAUGE:HIGH[:LOW] "
+                     "(decimal integers, LOW <= HIGH)\n";
         return usage();
       }
     } else if (arg == "--stats") {
@@ -206,7 +216,7 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, handle_signal);
 
   // Periodic sampler: every tick feeds the in-process time-series rings
-  // (the `query` verb's data), checks resource watermarks, and — with
+  // (the `query` verb's data), checks the watermarks, and — with
   // tracing on — snapshots the registry into the trace, so a long run's
   // JSONL is also a coarse time series of every counter/histogram.
   std::thread snapshotter;
@@ -224,7 +234,7 @@ int main(int argc, char** argv) {
         }
         wake += interval;
         optalloc::obs::timeseries_sample_now();
-        optalloc::obs::check_resource_watermarks();
+        optalloc::obs::check_watermarks();
         if (optalloc::obs::trace_enabled()) {
           optalloc::obs::Event(optalloc::obs::ev::metrics_snapshot)
               .raw("metrics", optalloc::obs::metrics_json());

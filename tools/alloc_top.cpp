@@ -168,8 +168,8 @@ bool render_frame(const Endpoint& endpoint, double window_s,
       uptime > 0.0 && workers > 0.0
           ? std::min(1.0, solve_s / (uptime * workers))
           : 0.0;
-  const double guards = get("res.inc.guards.items");
-  const double dead = get("res.inc.dead_guards.items");
+  const double guards = get("inc.guards");
+  const double dead = get("inc.dead_guards");
   const double guard_total = guards + dead;
 
   out.clear();
@@ -183,14 +183,14 @@ bool render_frame(const Endpoint& endpoint, double window_s,
          " deadline_expired=" +
          fmt("%.0f", num_or(*stats, "deadline_expired", 0)) + "\n";
   out += "queue      depth=" + fmt("%.0f", num_or(*stats, "queue_depth", 0)) +
-         " bytes=" + fmt("%.0f", get("res.svc.queue.bytes")) + "\n";
+         " bytes=" + fmt("%.0f", get("svc.queue.bytes")) + "\n";
   out += "workers    utilization=" + fmt("%.1f", utilization * 100.0) +
          "% solve_s=" + fmt("%.2f", solve_s) + "\n";
   out += "cache      hits=" + fmt("%.0f", hits) +
          " misses=" + fmt("%.0f", misses) + " hit_rate=" +
          fmt("%.1f", lookups > 0 ? hits / lookups * 100.0 : 0.0) +
-         "% entries=" + fmt("%.0f", get("res.svc.cache.items")) +
-         " bytes=" + fmt("%.0f", get("res.svc.cache.bytes")) + "\n";
+         "% entries=" + fmt("%.0f", get("svc.cache.entries")) +
+         " bytes=" + fmt("%.0f", get("svc.cache.bytes")) + "\n";
   out += "sessions   active=" +
          fmt("%.0f", num_or(*stats, "active_sessions", 0)) +
          " revises=" + fmt("%.0f", num_or(*stats, "revises", 0)) +
@@ -198,9 +198,9 @@ bool render_frame(const Endpoint& endpoint, double window_s,
          " dead_fraction=" +
          fmt("%.1f", guard_total > 0 ? dead / guard_total * 100.0 : 0.0) +
          "%\n";
-  out += "arena      bytes=" + fmt("%.0f", get("res.sat.arena.bytes")) +
-         " wasted=" + fmt("%.0f", get("res.sat.arena.wasted.bytes")) +
-         " learnts=" + fmt("%.0f", get("res.sat.learnts.items")) + "\n";
+  out += "arena      bytes=" + fmt("%.0f", get("sat.arena.bytes")) +
+         " wasted=" + fmt("%.0f", get("sat.arena.wasted_bytes")) +
+         " learnts=" + fmt("%.0f", get("sat.learnts")) + "\n";
   out += "latency    p50=" + fmt("%.1f", num_or(*stats, "p50_ms", 0)) +
          "ms p99=" + fmt("%.1f", num_or(*stats, "p99_ms", 0)) +
          "ms max=" + fmt("%.1f", num_or(*stats, "max_ms", 0)) + "ms\n";

@@ -10,10 +10,10 @@
 // as `ev::<kind>`.
 //
 // The metric namespace has no such table: every registration literal —
-// `obs::counter("<name>")`, gauge, timer, histogram and
-// `obs::resource("<name>")` — found under src/ and tools/ must have a
-// row (with the matching kind) in README.md's "Metrics reference" table,
-// and every table row must correspond to a live registration site.
+// `obs::counter("<name>")`, gauge, timer and histogram — found under
+// src/ and tools/ must have a row (with the matching kind) in README.md's
+// "Metrics reference" table, and every table row must correspond to a
+// live registration site.
 //
 // It runs as a ctest on every build, so drift breaks the suite
 // immediately instead of surfacing as an archaeology project.
@@ -138,7 +138,7 @@ bool metric_name_like(const std::string& s) {
 }
 
 /// A metric registration site: file:line, the registering function
-/// (counter/gauge/timer/histogram/resource) and the name literal.
+/// (counter/gauge/timer/histogram) and the name literal.
 struct MetricSite {
   std::string file;
   int line = 0;
@@ -157,7 +157,6 @@ void scan_metric_sites(const std::string& display_path,
   static const std::pair<const char*, const char*> kFns[] = {
       {"obs::counter(\"", "counter"},   {"obs::gauge(\"", "gauge"},
       {"obs::timer(\"", "timer"},       {"obs::histogram(\"", "histogram"},
-      {"obs::resource(\"", "resource"},
   };
   for (const auto& [pattern, kind] : kFns) {
     const std::size_t skip = std::strlen(pattern);
@@ -243,7 +242,7 @@ bool parse_events_table(const fs::path& path,
 /// Pull the documented metrics out of README.md's "Metrics reference"
 /// table — the one whose header row mentions both "metric" and "kind".
 /// Each row's first cell carries the backticked name, the second cell
-/// the kind word (counter/gauge/timer/histogram/resource).
+/// the kind word (counter/gauge/timer/histogram).
 bool parse_metrics_table(const fs::path& path,
                          std::map<std::string, std::string>& kind_by_name) {
   std::string raw;
