@@ -1,15 +1,14 @@
 // Observability overhead bench: the same optimization workload under the
 // telemetry configurations —
-//   off        tracing off, histograms off, flight recorder off (the
-//              hot-path baseline: every producer site pays one relaxed
-//              atomic load)
-//   flight     flight recorder on, everything else off — the production
-//              default (the recorder is always-on); the gate below keys
-//              on this config
-//   hist       tracing off, histograms on (bucket index + two relaxed
-//              atomic adds per observation)
-//   trace      tracing on (to a file), histograms off
-//   all        everything on (trace + histograms + flight)
+//   off        tracing off, flight recorder off (the hot-path baseline:
+//              every producer site pays one relaxed atomic load)
+//   flight     flight recorder on, tracing off — the production default
+//              (the recorder is always-on); the gate below keys on this
+//              config
+//   trace      tracing on (to a file), flight recorder off
+//   all        tracing and flight recorder on
+// Metrics are always on: every config pays the same counter adds and
+// histogram observations (a few per solve call, none per propagation).
 // — and writes BENCH_obs_overhead.json with per-config wall times and
 // the overhead ratio of each config against "off". The configs run
 // interleaved: each round times one optimize() run per config, and the
@@ -36,7 +35,6 @@
 #include "alloc/optimizer.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
 #include "workload/generator.hpp"
@@ -55,14 +53,12 @@ int repeats() {
 struct Config {
   const char* name;
   bool trace;
-  bool histograms;
   bool flight;
 };
 
 /// One timed optimize() run over `problem` under `cfg`.
 double run_config(const alloc::Problem& problem, const Config& cfg,
                   const std::string& trace_path) {
-  obs::set_histograms(cfg.histograms);
   obs::set_flight(cfg.flight);
   if (cfg.trace) {
     if (!obs::trace_open(trace_path)) {
@@ -80,7 +76,6 @@ double run_config(const alloc::Problem& problem, const Config& cfg,
   }
   const double secs = sw.seconds();
   if (cfg.trace) obs::trace_close();
-  obs::set_histograms(true);
   obs::set_flight(true);
   return secs;
 }
@@ -104,11 +99,10 @@ int main() {
   const int reps = repeats();
 
   const Config configs[] = {
-      {"off", false, false, false},
-      {"flight", false, false, true},
-      {"hist", false, true, false},
-      {"trace", true, false, false},
-      {"all", true, true, true},
+      {"off", false, false},
+      {"flight", false, true},
+      {"trace", true, false},
+      {"all", true, true},
   };
 
   constexpr std::size_t kConfigs = std::size(configs);
@@ -151,7 +145,6 @@ int main() {
     rows.push(obs::JsonObject()
                   .str("config", cfg.name)
                   .boolean("trace", cfg.trace)
-                  .boolean("histograms", cfg.histograms)
                   .boolean("flight", cfg.flight)
                   .num("seconds_per_run", s_med)
                   .num("seconds_q1", s_q1)

@@ -58,17 +58,15 @@ void flush_optimize_metrics(const OptimizeResult& result) {
   static const obs::Metric calls = obs::counter("opt.sat_calls");
   static const obs::Metric calls_sat = obs::counter("opt.sat_calls_sat");
   static const obs::Metric calls_unsat = obs::counter("opt.sat_calls_unsat");
-  static const obs::Metric t_total = obs::timer("opt.time.total");
-  static const obs::Metric t_encode = obs::timer("opt.time.encode");
-  static const obs::Metric t_solve = obs::timer("opt.time.solve");
+  static const obs::Metric t_total = obs::histogram("opt.time.total");
+  static const obs::Metric t_solve = obs::histogram("opt.time.solve");
   obs::add(runs, 1);
   if (result.status == OptimizeResult::Status::kOptimal) obs::add(optimal, 1);
   obs::add(calls, result.stats.sat_calls);
   obs::add(calls_sat, result.stats.sat_calls_sat);
   obs::add(calls_unsat, result.stats.sat_calls_unsat);
-  obs::record(t_total, result.stats.seconds);
-  obs::record(t_encode, result.stats.encode_seconds);
-  obs::record(t_solve, result.stats.solve_seconds);
+  obs::observe(t_total, result.stats.seconds);
+  obs::observe(t_solve, result.stats.solve_seconds);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "alloc/cost.hpp"
 #include "heur/common.hpp"
 #include "net/paths.hpp"
 #include "obs/events.hpp"
@@ -40,14 +41,14 @@ class AnnealTelemetry {
     static const obs::Metric iters = obs::counter("heur.sa.iterations");
     static const obs::Metric accepted = obs::counter("heur.sa.accepted_moves");
     static const obs::Metric feasible = obs::counter("heur.sa.feasible");
-    static const obs::Metric t_total = obs::timer("heur.sa.time");
+    static const obs::Metric t_total = obs::histogram("heur.sa.time");
     const double seconds =
         static_cast<double>(obs::monotonic_ns() - start_ns_) * 1e-9;
     obs::add(runs, 1);
     obs::add(iters, result_.iterations_run);
     obs::add(accepted, result_.accepted_moves);
     if (result_.feasible) obs::add(feasible, 1);
-    obs::record(t_total, seconds);
+    obs::observe(t_total, seconds);
     obs::Event e(obs::ev::anneal);
     e.boolean("feasible", result_.feasible);
     if (result_.feasible) e.num("cost", result_.cost);
@@ -95,14 +96,15 @@ AnnealingResult anneal(const alloc::Problem& problem,
     if (!completed) return 1e18;
     const rt::VerifyReport report =
         rt::verify(problem.tasks, problem.arch, *completed);
-    const auto value =
-        static_cast<double>(objective_value(problem, objective, *completed));
+    const std::int64_t cost =
+        alloc::objective_value(problem, objective, *completed);
+    const auto value = static_cast<double>(cost);
     if (!report.feasible) {
       return value +
              options.infeasible_penalty *
                  static_cast<double>(report.violations.size());
     }
-    cost_out = objective_value(problem, objective, *completed);
+    cost_out = cost;
     alloc_out = *completed;
     return value;
   };

@@ -1,7 +1,5 @@
 #include "heur/common.hpp"
 
-#include "alloc/cost.hpp"
-
 #include <algorithm>
 
 #include "rt/analysis.hpp"
@@ -96,21 +94,6 @@ std::optional<rt::Allocation> complete_allocation(
     }
   }
   return alloc;
-}
-
-std::int64_t objective_value(const alloc::Problem& problem,
-                             alloc::Objective objective,
-                             const rt::Allocation& allocation) {
-  return alloc::objective_value(problem, objective, allocation);
-}
-
-std::optional<std::int64_t> evaluate(const alloc::Problem& problem,
-                                     alloc::Objective objective,
-                                     const rt::Allocation& allocation) {
-  const rt::VerifyReport report =
-      rt::verify(problem.tasks, problem.arch, allocation);
-  if (!report.feasible) return std::nullopt;
-  return alloc::objective_value(problem, objective, allocation);
 }
 
 }  // namespace optalloc::heur

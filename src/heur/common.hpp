@@ -2,8 +2,8 @@
 // Shared machinery for the heuristic allocators: given a task->ECU mapping
 // (and optional slot enlargements), deterministically complete it into a
 // full rt::Allocation — shortest routes from the path closures, per-leg
-// deadline budgets by equal slack split, minimal TDMA slots — and evaluate
-// an objective on it through the exact verifier.
+// deadline budgets by equal slack split, minimal TDMA slots. Callers
+// evaluate the result with alloc::evaluate_allocation / objective_value.
 
 #include <optional>
 
@@ -22,18 +22,5 @@ std::optional<rt::Allocation> complete_allocation(
     const alloc::Problem& problem, const net::PathClosures& closures,
     const std::vector<int>& task_ecu,
     const std::vector<std::vector<rt::Ticks>>& slot_extra = {});
-
-/// Objective value of a *feasible* allocation, computed exactly the way
-/// the SAT encoder's cost function does (so heuristic and optimal results
-/// are comparable): TRT = Lambda of the medium, SumTRT = sum over rings,
-/// CanLoad = sum over bus messages of ceil(rho * 1000 / period).
-std::int64_t objective_value(const alloc::Problem& problem,
-                             alloc::Objective objective,
-                             const rt::Allocation& allocation);
-
-/// Verify + evaluate: nullopt if infeasible.
-std::optional<std::int64_t> evaluate(const alloc::Problem& problem,
-                                     alloc::Objective objective,
-                                     const rt::Allocation& allocation);
 
 }  // namespace optalloc::heur

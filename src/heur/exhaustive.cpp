@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "alloc/cost.hpp"
 #include "heur/common.hpp"
 #include "net/paths.hpp"
 
@@ -71,7 +72,8 @@ std::optional<ExhaustiveResult> exhaustive_search(
                              has_messages && ring_medium >= 0;
       if (!try_slots) {
         ++result.combinations_tried;
-        const auto cost = evaluate(problem, objective, *base);
+        const auto cost =
+            alloc::evaluate_allocation(problem, objective, *base);
         if (cost && (!result.feasible || *cost < result.cost)) {
           result.feasible = true;
           result.cost = *cost;
@@ -104,7 +106,8 @@ std::optional<ExhaustiveResult> exhaustive_search(
         }
         if (too_many) {
           ++result.combinations_tried;
-          const auto cost = evaluate(problem, objective, *base);
+          const auto cost =
+            alloc::evaluate_allocation(problem, objective, *base);
           if (cost && (!result.feasible || *cost < result.cost)) {
             result.feasible = true;
             result.cost = *cost;
@@ -120,7 +123,8 @@ std::optional<ExhaustiveResult> exhaustive_search(
                 complete_allocation(problem, closures, placement, extras);
             if (candidate) {
               ++result.combinations_tried;
-              const auto cost = evaluate(problem, objective, *candidate);
+              const auto cost =
+                  alloc::evaluate_allocation(problem, objective, *candidate);
               if (cost && (!result.feasible || *cost < result.cost)) {
                 result.feasible = true;
                 result.cost = *cost;

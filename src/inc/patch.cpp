@@ -1,12 +1,20 @@
 #include "inc/patch.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
 
 namespace optalloc::inc {
 
 namespace {
 
 using obs::JsonValue;
+
+/// Largest magnitude a patch's time/size/memory number may have: every
+/// integer up to 2^53 is exact in a double, and no real value nears it.
+constexpr double kMaxMagnitude = 9007199254740992.0;
+/// Largest ECU or message index a patch may name.
+constexpr double kMaxIndex = INT_MAX;
 
 int find_task(const alloc::Problem& problem, const std::string& name) {
   const auto& tasks = problem.tasks.tasks;
@@ -71,24 +79,28 @@ std::optional<InstancePatch> parse_patch(const JsonValue& edits,
     if (!op_name) return fail_parse(at + "missing \"op\"");
 
     PatchOp op;
+    // Numbers arrive as doubles; one beyond `limit` (or NaN) is rejected
+    // rather than cast, since that conversion is undefined.
+    bool out_of_range = false;
+    const auto whole = [&out_of_range](double v, double limit) {
+      if (!(std::fabs(v) <= limit)) out_of_range = true;
+      return out_of_range ? 0 : static_cast<std::int64_t>(v);
+    };
+    const auto num = [&](const char* key, double limit = kMaxMagnitude)
+        -> std::optional<std::int64_t> {
+      const auto v = e.get_number(key);
+      if (!v) return std::nullopt;
+      return whole(*v, limit);
+    };
     // Common addressing fields; per-op requirements checked below.
     if (const auto t = e.get_string("task")) op.task = *t;
     if (const auto t = e.get_string("target")) op.target = *t;
-    if (const auto v = e.get_number("ecu")) op.ecu = static_cast<int>(*v);
-    if (const auto v = e.get_number("index")) {
+    if (const auto v = num("ecu", kMaxIndex)) op.ecu = static_cast<int>(*v);
+    if (const auto v = num("index", kMaxIndex)) {
       op.index = static_cast<int>(*v);
     }
-    if (const auto v = e.get_number("jitter")) {
-      op.jitter = static_cast<std::int64_t>(*v);
-    }
-    if (const auto v = e.get_number("memory")) {
-      op.memory = static_cast<std::int64_t>(*v);
-    }
-    const auto num = [&e](const char* key) -> std::optional<std::int64_t> {
-      const auto v = e.get_number(key);
-      if (!v) return std::nullopt;
-      return static_cast<std::int64_t>(*v);
-    };
+    if (const auto v = num("jitter")) op.jitter = *v;
+    if (const auto v = num("memory")) op.memory = *v;
 
     if (op.task.empty()) return fail_parse(at + "missing \"task\"");
     if (*op_name == "set_wcet") {
@@ -130,7 +142,7 @@ std::optional<InstancePatch> parse_patch(const JsonValue& edits,
       op.value2 = *deadline;
       for (const JsonValue& w : wcet->array) {
         if (!w.is_number()) return fail_parse(at + "non-numeric wcet entry");
-        op.wcet.push_back(static_cast<std::int64_t>(w.number));
+        op.wcet.push_back(whole(w.number, kMaxMagnitude));
       }
     } else if (*op_name == "remove_task") {
       op.kind = PatchOp::Kind::kRemoveTask;
@@ -167,6 +179,7 @@ std::optional<InstancePatch> parse_patch(const JsonValue& edits,
     } else {
       return fail_parse(at + "unknown op \"" + *op_name + "\"");
     }
+    if (out_of_range) return fail_parse(at + "number out of range");
     patch.ops.push_back(std::move(op));
   }
   return patch;

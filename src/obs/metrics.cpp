@@ -26,11 +26,9 @@ constexpr std::size_t kMaxMetrics = 1024;
 constexpr std::size_t kMaxHistograms = 64;
 
 struct Shard {
-  // Counter sums / timer invocation counts, indexed by metric id. Only the
-  // owning thread writes; snapshot() reads concurrently (relaxed).
+  // Counter sums, indexed by metric id. Only the owning thread writes;
+  // snapshot() reads concurrently (relaxed).
   std::atomic<std::int64_t> value[kMaxMetrics] = {};
-  // Timer nanoseconds.
-  std::atomic<std::uint64_t> ns[kMaxMetrics] = {};
   // Histogram bucket arrays (kHistBuckets each), indexed by histogram
   // slot, allocated by the owning thread on first observation. The
   // pointer is released/acquired so snapshot() sees initialized buckets.
@@ -58,7 +56,6 @@ struct Registry {
   std::vector<Shard*> live OPTALLOC_GUARDED_BY(mutex);
   // Totals folded in from exited threads.
   std::int64_t retired_value[kMaxMetrics] OPTALLOC_GUARDED_BY(mutex) = {};
-  std::uint64_t retired_ns[kMaxMetrics] OPTALLOC_GUARDED_BY(mutex) = {};
   // Gauges are process-wide levels, not per-thread accumulations
   // (atomic, hence deliberately not GUARDED_BY).
   std::atomic<std::int64_t> gauges[kMaxMetrics] = {};
@@ -84,7 +81,6 @@ Registry& registry() {
 }
 
 std::atomic<bool> g_phase_timing{false};
-std::atomic<bool> g_histograms{true};
 
 struct ShardOwner {
   Shard* shard = new Shard();
@@ -100,7 +96,6 @@ struct ShardOwner {
     util::MutexLock lock(r.mutex);
     for (std::size_t i = 0; i < kMaxMetrics; ++i) {
       r.retired_value[i] += shard->value[i].load(std::memory_order_relaxed);
-      r.retired_ns[i] += shard->ns[i].load(std::memory_order_relaxed);
     }
     for (std::size_t s = 0; s < kMaxHistograms; ++s) {
       const auto* buckets = shard->hist[s].load(std::memory_order_relaxed);
@@ -159,9 +154,6 @@ Metric counter(std::string_view name) {
 }
 Metric gauge(std::string_view name) {
   return register_metric(name, MetricKind::kGauge);
-}
-Metric timer(std::string_view name) {
-  return register_metric(name, MetricKind::kTimer);
 }
 Metric histogram(std::string_view name) {
   return register_metric(name, MetricKind::kHistogram);
@@ -249,15 +241,7 @@ void adjust(Metric m, std::int64_t delta) {
   registry().gauges[m.id].fetch_add(delta, std::memory_order_relaxed);
 }
 
-void record(Metric m, double seconds) {
-  Shard& s = local_shard();
-  s.value[m.id].fetch_add(1, std::memory_order_relaxed);
-  s.ns[m.id].fetch_add(static_cast<std::uint64_t>(seconds * 1e9),
-                       std::memory_order_relaxed);
-}
-
 void observe(Metric m, double value) {
-  if (!g_histograms.load(std::memory_order_relaxed)) return;
   const int slot = registry().hist_slot[m.id].load(std::memory_order_relaxed);
   if (slot == 0) return;  // not a histogram handle
   Shard& s = local_shard();
@@ -273,14 +257,6 @@ void observe(Metric m, double value) {
       value, std::memory_order_relaxed);
 }
 
-void set_histograms(bool on) {
-  g_histograms.store(on, std::memory_order_relaxed);
-}
-
-bool histograms_enabled() {
-  return g_histograms.load(std::memory_order_relaxed);
-}
-
 std::uint64_t monotonic_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -291,10 +267,7 @@ std::uint64_t monotonic_ns() {
 ScopedTimer::ScopedTimer(Metric m) : m_(m), start_ns_(monotonic_ns()) {}
 
 ScopedTimer::~ScopedTimer() {
-  Shard& s = local_shard();
-  s.value[m_.id].fetch_add(1, std::memory_order_relaxed);
-  s.ns[m_.id].fetch_add(monotonic_ns() - start_ns_,
-                        std::memory_order_relaxed);
+  observe(m_, static_cast<double>(monotonic_ns() - start_ns_) * 1e-9);
 }
 
 std::vector<MetricValue> snapshot() {
@@ -340,13 +313,10 @@ std::vector<MetricValue> snapshot() {
       continue;
     }
     std::int64_t value = r.retired_value[i];
-    std::uint64_t ns = r.retired_ns[i];
     for (const Shard* s : r.live) {
       value += s->value[i].load(std::memory_order_relaxed);
-      ns += s->ns[i].load(std::memory_order_relaxed);
     }
     v.value = value;
-    v.seconds = static_cast<double>(ns) * 1e-9;
   }
   std::sort(out.begin(), out.end(),
             [](const MetricValue& a, const MetricValue& b) {
@@ -360,12 +330,8 @@ void reset_metrics() {
   util::MutexLock lock(r.mutex);
   for (std::size_t i = 0; i < kMaxMetrics; ++i) {
     r.retired_value[i] = 0;
-    r.retired_ns[i] = 0;
     r.gauges[i].store(0, std::memory_order_relaxed);
-    for (Shard* s : r.live) {
-      s->value[i].store(0, std::memory_order_relaxed);
-      s->ns[i].store(0, std::memory_order_relaxed);
-    }
+    for (Shard* s : r.live) s->value[i].store(0, std::memory_order_relaxed);
   }
   for (std::size_t slot = 0; slot < kMaxHistograms; ++slot) {
     r.retired_hist[slot].clear();
@@ -442,7 +408,7 @@ std::string render_metrics(bool include_zero) {
   std::string out;
   char buf[192];
   for (const MetricValue& v : snapshot()) {
-    if (!include_zero && v.value == 0 && v.seconds == 0.0) continue;
+    if (!include_zero && v.value == 0) continue;
     switch (v.kind) {
       case MetricKind::kCounter:
         std::snprintf(buf, sizeof buf, "%-40s counter %lld\n", v.name.c_str(),
@@ -452,15 +418,11 @@ std::string render_metrics(bool include_zero) {
         std::snprintf(buf, sizeof buf, "%-40s gauge   %lld\n", v.name.c_str(),
                       static_cast<long long>(v.value));
         break;
-      case MetricKind::kTimer:
-        std::snprintf(buf, sizeof buf, "%-40s timer   %.6fs x%lld\n",
-                      v.name.c_str(), v.seconds,
-                      static_cast<long long>(v.value));
-        break;
       case MetricKind::kHistogram:
         std::snprintf(buf, sizeof buf,
-                      "%-40s hist    n=%lld p50=%.4g p95=%.4g p99=%.4g\n",
-                      v.name.c_str(), static_cast<long long>(v.value),
+                      "%-40s hist    n=%lld sum=%.6g p50=%.4g p95=%.4g "
+                      "p99=%.4g\n",
+                      v.name.c_str(), static_cast<long long>(v.value), v.sum,
                       histogram_quantile(v.buckets, 0.50),
                       histogram_quantile(v.buckets, 0.95),
                       histogram_quantile(v.buckets, 0.99));
@@ -469,29 +431,6 @@ std::string render_metrics(bool include_zero) {
     out += buf;
   }
   return out;
-}
-
-std::string metrics_json() {
-  JsonObject obj;
-  for (const MetricValue& v : snapshot()) {
-    if (v.kind == MetricKind::kTimer) {
-      obj.raw(v.name, JsonObject()
-                          .num("seconds", v.seconds)
-                          .num("count", v.value)
-                          .build());
-    } else if (v.kind == MetricKind::kHistogram) {
-      obj.raw(v.name, JsonObject()
-                          .num("count", v.value)
-                          .num("sum", v.sum)
-                          .num("p50", histogram_quantile(v.buckets, 0.50))
-                          .num("p95", histogram_quantile(v.buckets, 0.95))
-                          .num("p99", histogram_quantile(v.buckets, 0.99))
-                          .build());
-    } else {
-      obj.num(v.name, v.value);
-    }
-  }
-  return obj.build();
 }
 
 std::string metrics_full_json() {
@@ -504,11 +443,6 @@ std::string metrics_full_json() {
         break;
       case MetricKind::kGauge:
         entry.str("kind", "gauge").num("value", v.value);
-        break;
-      case MetricKind::kTimer:
-        entry.str("kind", "timer")
-            .num("count", v.value)
-            .num("seconds", v.seconds);
         break;
       case MetricKind::kHistogram: {
         entry.str("kind", "histogram")
@@ -564,13 +498,6 @@ std::string prometheus_from_snapshot(const std::vector<MetricValue>& snap) {
                       n.c_str(), n.c_str(), static_cast<long long>(v.value));
         out += buf;
         break;
-      case MetricKind::kTimer:
-        std::snprintf(buf, sizeof buf,
-                      "# TYPE %s summary\n%s_sum %.9g\n%s_count %lld\n",
-                      n.c_str(), n.c_str(), v.seconds, n.c_str(),
-                      static_cast<long long>(v.value));
-        out += buf;
-        break;
       case MetricKind::kHistogram: {
         std::snprintf(buf, sizeof buf, "# TYPE %s histogram\n", n.c_str());
         out += buf;
@@ -620,11 +547,6 @@ std::vector<MetricValue> metrics_from_json(const JsonValue& doc) {
       const auto value = entry.get_number("value");
       if (!value) continue;
       v.value = static_cast<std::int64_t>(*value);
-    } else if (*kind == "timer") {
-      v.kind = MetricKind::kTimer;
-      v.value = static_cast<std::int64_t>(
-          entry.get_number("count").value_or(0.0));
-      v.seconds = entry.get_number("seconds").value_or(0.0);
     } else if (*kind == "histogram") {
       v.kind = MetricKind::kHistogram;
       v.value = static_cast<std::int64_t>(

@@ -11,21 +11,22 @@
 //   * snapshot() takes the registry mutex, sums all live shards plus the
 //     totals folded in from exited threads.
 //
-// Four kinds:
+// Three kinds:
 //   counter   — monotonically accumulated integer (merge = sum)
 //   gauge     — integer level in one process-wide atomic slot (not
 //               sharded): set() overwrites it, adjust() moves it by a
 //               signed delta — the capacity gauges (clause-arena bytes,
 //               cache footprint, live sessions) are sums of many owners'
 //               shares, each kept honest by a GaugeTracker
-//   timer     — accumulated wall seconds + invocation count (merge = sum)
 //   histogram — log-linear (HDR-style) distribution of positive doubles:
 //               each power-of-two octave is split into kHistSubBuckets
 //               equal-width buckets, so any recorded value lands in a
 //               bucket whose width is at most value/kHistSubBuckets — a
 //               bounded relative error of 1/kHistSubBuckets (6.25%) for
 //               every quantile, at a fixed memory footprint. Buckets are
-//               per-thread shards merged on read, like counters.
+//               per-thread shards merged on read, like counters. Every
+//               duration is a histogram: `*.time.*` ones observe seconds
+//               (so their sum is the total time), `*_ms` ones milliseconds.
 //
 // Phase timing inside the SAT solver is additionally gated by
 // set_phase_timing(): clock reads only happen when someone asked for them,
@@ -39,9 +40,9 @@
 
 namespace optalloc::obs {
 
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kTimer, kHistogram };
+enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
-/// Cheap copyable handle; obtain via counter()/gauge()/timer().
+/// Cheap copyable handle; obtain via counter()/gauge()/histogram().
 struct Metric {
   std::uint32_t id = 0;
 };
@@ -51,7 +52,6 @@ struct Metric {
 /// the same handle.
 Metric counter(std::string_view name);
 Metric gauge(std::string_view name);
-Metric timer(std::string_view name);
 Metric histogram(std::string_view name);
 
 /// Counter: accumulate `delta` into the calling thread's shard.
@@ -85,17 +85,10 @@ class GaugeTracker {
   std::int64_t value_ = 0;
 };
 
-/// Timer: accumulate one observation of `seconds`.
-void record(Metric m, double seconds);
-
 /// Histogram: record one observation into the calling thread's shard.
-/// Cheap (index computation + two relaxed atomic adds); gated by
-/// set_histograms() so the overhead bench can measure the disabled cost.
+/// Cheap (index computation + two relaxed atomic adds); the thread's
+/// first observation of a histogram allocates its kHistBuckets counters.
 void observe(Metric m, double value);
-
-/// Global gate for histogram observations (default on).
-void set_histograms(bool on);
-bool histograms_enabled();
 
 // --- Histogram bucket scheme (shared by the registry and LocalHistogram).
 // Covers (2^kHistMinExp, 2^kHistMaxExp) ≈ (9.3e-10, 1.7e10) with
@@ -146,7 +139,7 @@ class LocalHistogram {
   double max_ = 0.0;
 };
 
-/// RAII timer observation.
+/// RAII duration observation: the scope's wall seconds go to histogram m.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Metric m);
@@ -165,8 +158,7 @@ std::uint64_t monotonic_ns();
 struct MetricValue {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
-  std::int64_t value = 0;    ///< counter sum / gauge level / timer or histogram count
-  double seconds = 0.0;      ///< timers only: accumulated wall time
+  std::int64_t value = 0;    ///< counter sum / gauge level / histogram count
   double sum = 0.0;          ///< histograms only: sum of observed values
   std::vector<HistBucket> buckets;  ///< histograms only: non-empty buckets
 };
@@ -191,15 +183,11 @@ void set_watermark(std::string_view name, std::int64_t high,
 /// load when nothing is armed.
 void check_watermarks();
 
-/// "name kind value [seconds]" per line; omits zero entries unless
-/// `include_zero`.
+/// "name kind value" per line (histograms: count, sum and quantiles);
+/// omits zero entries unless `include_zero`.
 std::string render_metrics(bool include_zero = false);
 
-/// One flat JSON object: counters/gauges as numbers, timers as
-/// {"seconds": s, "count": n}.
-std::string metrics_json();
-
-/// Full typed snapshot as one JSON object, suitable for the wire:
+/// The registry's one JSON form, a typed snapshot suitable for the wire:
 /// {"name":{"kind":"counter","value":n}, ...}; histograms carry count,
 /// sum, p50/p95/p99 and the non-empty buckets as [lo, hi, count] triples.
 /// Decoded losslessly by metrics_from_json (modulo bucket quantization,
@@ -207,8 +195,8 @@ std::string metrics_json();
 std::string metrics_full_json();
 
 /// Prometheus text exposition format for a snapshot: counters and gauges
-/// verbatim, timers as <name>_sum/<name>_count, histograms as cumulative
-/// <name>_bucket{le="..."} series plus <name>_p50/_p95/_p99 gauges.
+/// verbatim, histograms as cumulative <name>_bucket{le="..."} series,
+/// <name>_sum/<name>_count, plus <name>_p50/_p95/_p99 gauges.
 /// Metric names are sanitized (non-[a-zA-Z0-9_:] become '_').
 std::string prometheus_from_snapshot(const std::vector<MetricValue>& snap);
 

@@ -74,12 +74,9 @@ void timeseries_sample_now() {
       case MetricKind::kGauge:
         rows.emplace_back(v.name, static_cast<double>(v.value));
         break;
-      case MetricKind::kTimer:
-        rows.emplace_back(v.name + ".count", static_cast<double>(v.value));
-        rows.emplace_back(v.name + ".seconds", v.seconds);
-        break;
       case MetricKind::kHistogram:
         rows.emplace_back(v.name + ".count", static_cast<double>(v.value));
+        rows.emplace_back(v.name + ".sum", v.sum);
         rows.emplace_back(v.name + ".p50",
                           histogram_quantile(v.buckets, 0.50));
         rows.emplace_back(v.name + ".p95",

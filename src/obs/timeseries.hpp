@@ -10,8 +10,7 @@
 //
 // Series are derived on each timeseries_sample_now() call:
 //   counter/gauge  -> "<name>"                (value as double)
-//   timer          -> "<name>.count" / "<name>.seconds"
-//   histogram      -> "<name>.count" / "<name>.p50" / ".p95" / ".p99"
+//   histogram      -> "<name>.count" / ".sum" / ".p50" / ".p95" / ".p99"
 //
 // Capacity gauges (sat.arena.bytes, svc.cache.bytes, ...) are gauges
 // like any other and so arrive under their own names.

@@ -65,7 +65,7 @@ bool PbPropagator::add(Constraint c) {
   // The paper's native 0-1 constraint path: count every translated
   // constraint, and time the translation when phase timing is on.
   static const obs::Metric n_constraints = obs::counter("pb.constraints");
-  static const obs::Metric t_translate = obs::timer("pb.time.translate");
+  static const obs::Metric t_translate = obs::histogram("pb.time.translate");
   obs::add(n_constraints, 1);
   std::optional<obs::ScopedTimer> timer;
   if (obs::phase_timing()) timer.emplace(t_translate);

@@ -30,10 +30,10 @@ void flush_solve_metrics(const SolverStats& before, const SolverStats& after) {
   static const obs::Metric restarts = obs::counter("sat.restarts");
   static const obs::Metric theory = obs::counter("sat.theory_propagations");
   static const obs::Metric gc_runs = obs::counter("sat.gc_runs");
-  static const obs::Metric t_prop = obs::timer("sat.time.propagate");
-  static const obs::Metric t_analyze = obs::timer("sat.time.analyze");
-  static const obs::Metric t_reduce = obs::timer("sat.time.reduce_db");
-  static const obs::Metric t_inprocess = obs::timer("sat.time.inprocess");
+  static const obs::Metric t_prop = obs::histogram("sat.time.propagate");
+  static const obs::Metric t_analyze = obs::histogram("sat.time.analyze");
+  static const obs::Metric t_reduce = obs::histogram("sat.time.reduce_db");
+  static const obs::Metric t_inprocess = obs::histogram("sat.time.inprocess");
   const auto delta = [](std::uint64_t a, std::uint64_t b) {
     return static_cast<std::int64_t>(a - b);
   };
@@ -46,17 +46,17 @@ void flush_solve_metrics(const SolverStats& before, const SolverStats& after) {
            delta(after.theory_propagations, before.theory_propagations));
   obs::add(gc_runs, delta(after.gc_runs, before.gc_runs));
   if (after.propagate_seconds > before.propagate_seconds) {
-    obs::record(t_prop, after.propagate_seconds - before.propagate_seconds);
+    obs::observe(t_prop, after.propagate_seconds - before.propagate_seconds);
   }
   if (after.analyze_seconds > before.analyze_seconds) {
-    obs::record(t_analyze, after.analyze_seconds - before.analyze_seconds);
+    obs::observe(t_analyze, after.analyze_seconds - before.analyze_seconds);
   }
   if (after.reduce_seconds > before.reduce_seconds) {
-    obs::record(t_reduce, after.reduce_seconds - before.reduce_seconds);
+    obs::observe(t_reduce, after.reduce_seconds - before.reduce_seconds);
   }
   if (after.inprocess_seconds > before.inprocess_seconds) {
-    obs::record(t_inprocess,
-                after.inprocess_seconds - before.inprocess_seconds);
+    obs::observe(t_inprocess,
+                 after.inprocess_seconds - before.inprocess_seconds);
   }
 }
 

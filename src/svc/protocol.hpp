@@ -11,7 +11,7 @@
 //   {"verb":"cancel","id":"r1"}    -> {"ok":true,"id":"r1"}
 //   {"verb":"stats"}               -> service + cache counters, latencies
 //   {"verb":"metrics"}             -> full metrics registry snapshot
-//                                     (counters, gauges, timers, histogram
+//                                     (counters, gauges, histogram
 //                                     quantiles + buckets) under "metrics"
 //   {"verb":"inspect","id":"r1"}   -> live mid-solve introspection: the
 //                                     current phase (queued/warm_start/

@@ -43,8 +43,8 @@ struct SvcMetrics {
   obs::Metric queue_depth = obs::gauge("svc.queue_depth");
   obs::Metric queue_bytes = obs::gauge("svc.queue.bytes");
   obs::Metric sessions_live = obs::gauge("svc.sessions.live");
-  obs::Metric queue_time = obs::timer("svc.time.queue");
-  obs::Metric solve_time = obs::timer("svc.time.solve");
+  // Per-job optimize() wall seconds: the sum is the workers' busy time.
+  obs::Metric solve_time = obs::histogram("svc.time.solve");
   // Distributions: ms-scale histograms scrapeable via the metrics verb.
   // The same observations feed the per-Scheduler LocalHistogram behind
   // stats(), so `metrics --prom` quantiles and `stats` percentiles agree.
@@ -625,7 +625,6 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
   obs::ContextScope ctx_scope(job->ctx);
   JobAnswer answer;
   answer.queue_seconds = seconds_since(job->submitted);
-  obs::record(metrics().queue_time, answer.queue_seconds);
   obs::observe(metrics().queue_wait_ms, answer.queue_seconds * 1000.0);
   obs::span_end_event("queue_wait", job->ctx, job->queue_span,
                       answer.queue_seconds);
@@ -696,7 +695,7 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
   const alloc::OptimizeResult result =
       alloc::optimize(job->canon.problem, job->canon.objective, opts);
   answer.solve_seconds = seconds_since(solve_start);
-  obs::record(metrics().solve_time, answer.solve_seconds);
+  obs::observe(metrics().solve_time, answer.solve_seconds);
 
   bool cancelled = false;
   {

@@ -20,7 +20,7 @@
 // within one propagation budget check.
 //
 // Observability: svc.* metrics (request counters, cache hits, queue-depth
-// gauge, queue/solve timers) and request_received / cache_hit /
+// gauge, queue-wait/solve histograms) and request_received / cache_hit /
 // deadline_expired / request_done trace events.
 
 #include <atomic>

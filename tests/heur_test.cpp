@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc/cost.hpp"
 #include "alloc/optimizer.hpp"
 #include "heur/annealing.hpp"
 #include "heur/common.hpp"
@@ -82,10 +83,10 @@ TEST(Common, CompleteAllocationIntraEcuMessage) {
 TEST(Common, ObjectiveValueMatchesDefinition) {
   const Problem p = small_ring_problem();
   const net::PathClosures closures(p.arch);
-  const auto alloc = complete_allocation(p, closures, {0, 1, 0});
-  ASSERT_TRUE(alloc.has_value());
-  EXPECT_EQ(objective_value(p, Objective::ring_trt(0), *alloc), 4);
-  EXPECT_EQ(objective_value(p, Objective::sum_trt(), *alloc), 4);
+  const auto completed = complete_allocation(p, closures, {0, 1, 0});
+  ASSERT_TRUE(completed.has_value());
+  EXPECT_EQ(alloc::objective_value(p, Objective::ring_trt(0), *completed), 4);
+  EXPECT_EQ(alloc::objective_value(p, Objective::sum_trt(), *completed), 4);
 }
 
 TEST(Annealing, FindsFeasibleAllocationDeterministically) {

@@ -95,6 +95,18 @@ TEST(IncPatch, ParseRejectsMalformed) {
       *obs::json_parse(R"([{"op":"set_wcet","task":"sensor"}])"), &error));
   EXPECT_FALSE(parse_patch(
       *obs::json_parse(R"([{"op":"set_deadline","deadline":10}])"), &error));
+  // Numbers beyond what the fields can hold are rejected, not cast.
+  for (const char* edits :
+       {R"([{"op":"set_wcet","task":"a","ecu":1e300,"wcet":1}])",
+        R"([{"op":"set_wcet","task":"a","ecu":0,"wcet":-1e19}])",
+        R"([{"op":"set_jitter","task":"a","jitter":1e30}])",
+        R"([{"op":"remove_message","task":"a","index":3e9}])",
+        R"([{"op":"add_task","task":"b","period":1,"deadline":1,)"
+        R"("wcet":[1e300]}])"}) {
+    error.clear();
+    EXPECT_FALSE(parse_patch(*obs::json_parse(edits), &error)) << edits;
+    EXPECT_NE(error.find("out of range"), std::string::npos) << edits;
+  }
 }
 
 // --- Patch application -------------------------------------------------

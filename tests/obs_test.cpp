@@ -143,21 +143,30 @@ TEST(Metrics, GaugeAndTimerSemantics) {
   obs::set(g, 3);
   EXPECT_EQ(lookup(obs::snapshot(), "test.gauge"), 3);
 
-  const obs::Metric t = obs::timer("test.timer");
-  obs::record(t, 0.25);
-  obs::record(t, 0.5);
+  // A duration is a histogram of seconds: ScopedTimer observes its
+  // scope's wall time, and the sum reads the total.
+  const obs::Metric t = obs::histogram("test.timer");
+  obs::observe(t, 0.25);
+  { const obs::ScopedTimer scope(t); }
+  double sum = -1.0;
   for (const auto& m : obs::snapshot()) {
     if (m.name != "test.timer") continue;
-    EXPECT_EQ(m.kind, obs::MetricKind::kTimer);
-    EXPECT_EQ(m.value, 2);  // invocation count
-    EXPECT_DOUBLE_EQ(m.seconds, 0.75);
+    EXPECT_EQ(m.kind, obs::MetricKind::kHistogram);
+    EXPECT_EQ(m.value, 2);  // observation count
+    sum = m.sum;
   }
+  EXPECT_GE(sum, 0.25);
+  EXPECT_LT(sum, 1.25);  // the empty scope took well under a second
 
-  const auto doc = obs::json_parse(obs::metrics_json());
+  const auto doc = obs::json_parse(obs::metrics_full_json());
   ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->get_number("test.gauge"), 3.0);
+  const obs::JsonValue* gauge = doc->get("test.gauge");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->get_string("kind"), "gauge");
+  EXPECT_EQ(gauge->get_number("value"), 3.0);
   const obs::JsonValue* timer = doc->get("test.timer");
   ASSERT_NE(timer, nullptr);
+  EXPECT_EQ(timer->get_string("kind"), "histogram");
   EXPECT_EQ(timer->get_number("count"), 2.0);
 }
 
@@ -241,22 +250,11 @@ TEST(Metrics, HistogramShardsMergeAcrossThreads) {
   EXPECT_TRUE(found);
 }
 
-TEST(Metrics, HistogramGateSuppressesObservations) {
-  obs::reset_metrics();
-  const obs::Metric h = obs::histogram("test.gated");
-  ASSERT_TRUE(obs::histograms_enabled());
-  obs::set_histograms(false);
-  obs::observe(h, 1.0);  // dropped: the gate is the bench's "off" config
-  obs::set_histograms(true);
-  obs::observe(h, 2.0);
-  EXPECT_EQ(lookup(obs::snapshot(), "test.gated"), 1);
-}
-
 TEST(Metrics, FullJsonRoundTripsAndRendersPrometheus) {
   obs::reset_metrics();
   obs::add(obs::counter("test.rt.count"), 3);
   obs::set(obs::gauge("test.rt.gauge"), -2);
-  obs::record(obs::timer("test.rt.timer"), 0.5);
+  obs::observe(obs::histogram("test.rt.timer"), 0.5);
   const obs::Metric h = obs::histogram("test.rt.hist");
   for (int i = 1; i <= 100; ++i) obs::observe(h, static_cast<double>(i));
 
@@ -285,6 +283,7 @@ TEST(Metrics, FullJsonRoundTripsAndRendersPrometheus) {
   EXPECT_NE(prom.find("test_rt_count 3"), std::string::npos);
   EXPECT_NE(prom.find("test_rt_gauge -2"), std::string::npos);
   EXPECT_NE(prom.find("test_rt_timer_count 1"), std::string::npos);
+  EXPECT_NE(prom.find("test_rt_timer_sum 0.5"), std::string::npos);
   EXPECT_NE(prom.find("# TYPE test_rt_hist histogram"), std::string::npos);
   EXPECT_NE(prom.find("test_rt_hist_bucket{le=\"+Inf\"} 100"),
             std::string::npos);
@@ -970,6 +969,16 @@ TEST(Metrics, OptimizerFlushesRegistry) {
   EXPECT_EQ(lookup(snap, "sat.solve_calls"),
             static_cast<std::int64_t>(res.stats.sat_calls));
   EXPECT_GT(lookup(snap, "sat.decisions"), 0);
+  // Durations are histograms of seconds, one observation per run; the
+  // encode time is recorded once, as opt.encode_ms.
+  for (const auto& m : snap) {
+    if (m.name != "opt.time.total") continue;
+    EXPECT_EQ(m.kind, obs::MetricKind::kHistogram);
+    EXPECT_EQ(m.value, 1);
+    EXPECT_NEAR(m.sum, res.stats.seconds, 1e-9);
+  }
+  EXPECT_GE(lookup(snap, "opt.encode_ms"), 1);
+  EXPECT_EQ(lookup(snap, "opt.time.encode"), -1);
 }
 
 }  // namespace

@@ -9,6 +9,11 @@
 //               [--watermark GAUGE:HIGH[:LOW]]
 //   alloc_serve --tcp 7421 ...
 //
+// Numeric flags take plain numbers and exit 2 on a suffix, an overflow
+// or a value out of range: --tcp 0..65535, --workers 1..256 (one
+// flight-recorder ring per thread), --queue >= 1, --inprocess-interval
+// >= 1, --metrics-interval 0..86400 seconds.
+//
 // SIGTERM / SIGINT trigger a graceful drain: no new requests are
 // accepted, every queued job still gets its answer, the trace sink is
 // flushed and closed, then the process exits 0. --stats prints the
@@ -16,7 +21,7 @@
 // thread every S seconds: each tick records the whole registry into the
 // in-process time-series rings (the `query` verb / alloc_top's data),
 // checks the armed watermarks, and — while tracing is on — emits a
-// "metrics_snapshot" trace event (full registry, flat form).
+// "metrics_snapshot" trace event (full registry, typed form).
 // --watermark arms a threshold on a gauge ("sat.arena.bytes:8388608" or
 // "svc.cache.bytes:1048576:786432"; plain decimal integers, LOW <= HIGH);
 // crossings emit `watermark` trace events with hysteresis (LOW defaults
@@ -33,14 +38,16 @@
 #include <atomic>
 #include <charconv>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <system_error>
 #include <thread>
+#include <type_traits>
 
 #include "obs/events.hpp"
 #include "obs/flight.hpp"
@@ -67,12 +74,20 @@ int usage() {
   return 2;
 }
 
-/// The whole of `s` as a decimal int64: no sign, suffix or overflow.
-bool parse_level(std::string_view s, std::int64_t& out) {
+/// The whole of `s` as a number in [lo, hi]: false on a suffix, an
+/// overflow, NaN or a value out of range (`out` is then left alone).
+template <class T>
+bool parse_number(std::string_view s, std::type_identity_t<T> lo,
+                  std::type_identity_t<T> hi, T& out) {
+  T v{};
   const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
-  return ec == std::errc() && ptr == end && out >= 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end || !(v >= lo && v <= hi)) return false;
+  out = v;
+  return true;
 }
+
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 
 /// Parse "GAUGE:HIGH[:LOW]" and arm the watermark. False on bad syntax,
 /// a non-positive HIGH or LOW > HIGH.
@@ -83,10 +98,10 @@ bool arm_watermark(std::string_view spec) {
   const std::string_view levels = spec.substr(c1 + 1);
   const std::size_t c2 = levels.find(':');
   std::int64_t high = 0;
-  if (!parse_level(levels.substr(0, c2), high) || high == 0) return false;
+  if (!parse_number(levels.substr(0, c2), 1, kInt64Max, high)) return false;
   std::int64_t low = -1;
   if (c2 != std::string_view::npos &&
-      (!parse_level(levels.substr(c2 + 1), low) || low > high)) {
+      !parse_number(levels.substr(c2 + 1), 0, high, low)) {
     return false;
   }
   optalloc::obs::set_watermark(name, high, low);
@@ -104,51 +119,47 @@ int main(int argc, char** argv) {
   double metrics_interval_s = 0.0;
   optalloc::svc::ServerOptions options;
 
+  optalloc::svc::SchedulerOptions& sched = options.scheduler;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // The flag's value as a number in [lo, hi]; false when it is missing
+    // or is not one.
+    auto number = [&]<class T>(std::type_identity_t<T> lo,
+                               std::type_identity_t<T> hi, T& out) {
+      const char* v = next();
+      return v != nullptr && parse_number(v, lo, hi, out);
+    };
+    bool ok = true;
     if (arg == "--socket") {
       const char* v = next();
       if (v == nullptr) return usage();
       socket_path = v;
     } else if (arg == "--tcp") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      tcp_port = std::atoi(v);
+      ok = number(0, 65535, tcp_port);
     } else if (arg == "--workers") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      options.scheduler.workers = std::atoi(v);
+      // The flight recorder keeps no ring for threads past its cap.
+      ok = number(1, static_cast<int>(optalloc::obs::kFlightMaxRings),
+                  sched.workers);
     } else if (arg == "--queue") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      options.scheduler.queue_capacity =
-          static_cast<std::size_t>(std::atol(v));
+      ok = number(std::size_t{1}, SIZE_MAX, sched.queue_capacity);
     } else if (arg == "--cache") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      options.scheduler.cache_entries = static_cast<std::size_t>(std::atol(v));
+      ok = number(std::size_t{0}, SIZE_MAX, sched.cache_entries);
     } else if (arg == "--anneal") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      options.scheduler.anneal_iterations = std::atoi(v);
+      ok = number(0, INT_MAX, sched.anneal_iterations);
     } else if (arg == "--no-inprocess") {
-      options.scheduler.inprocess = false;
+      sched.inprocess = false;
     } else if (arg == "--inprocess-interval") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      options.scheduler.inprocess_interval = std::atoll(v);
-      if (options.scheduler.inprocess_interval <= 0) return usage();
+      ok = number(1, kInt64Max, sched.inprocess_interval);
     } else if (arg == "--trace") {
       const char* v = next();
       if (v == nullptr) return usage();
       trace_path = v;
     } else if (arg == "--metrics-interval") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      metrics_interval_s = std::atof(v);
+      // Capped at a day, far inside what the sampler's clock can hold.
+      ok = number(0.0, 86400.0, metrics_interval_s);
     } else if (arg == "--flight-dump") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -164,6 +175,10 @@ int main(int argc, char** argv) {
       print_stats = true;
     } else {
       std::cerr << "alloc_serve: unknown option " << arg << "\n";
+      return usage();
+    }
+    if (!ok) {
+      std::cerr << "alloc_serve: " << arg << " wants a plain number in range\n";
       return usage();
     }
   }
@@ -237,7 +252,7 @@ int main(int argc, char** argv) {
         optalloc::obs::check_watermarks();
         if (optalloc::obs::trace_enabled()) {
           optalloc::obs::Event(optalloc::obs::ev::metrics_snapshot)
-              .raw("metrics", optalloc::obs::metrics_json());
+              .raw("metrics", optalloc::obs::metrics_full_json());
         }
       }
     });

@@ -163,7 +163,7 @@ bool render_frame(const Endpoint& endpoint, double window_s,
     const auto it = last.find(name);
     return it != last.end() ? it->second : 0.0;
   };
-  const double solve_s = get("svc.time.solve.seconds");
+  const double solve_s = get("svc.time.solve.sum");
   const double utilization =
       uptime > 0.0 && workers > 0.0
           ? std::min(1.0, solve_s / (uptime * workers))

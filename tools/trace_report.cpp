@@ -21,9 +21,10 @@
 // --json emits the same as one JSON object (plus span-balance counters),
 // so benches and CI can gate on "parses, and every span_end matches a
 // span_begin". Exit code: 0 when every line parses and spans balance,
-// 1 otherwise.
+// 1 otherwise, 2 on a usage error (--top takes a plain count).
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -32,6 +33,8 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -137,7 +140,7 @@ int usage() {
 int main(int argc, char** argv) {
   bool json_out = false;
   bool search_view = false;
-  int top = 5;
+  std::size_t top = 5;
   std::string path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -147,7 +150,11 @@ int main(int argc, char** argv) {
       search_view = true;
     } else if (arg == "--top") {
       if (i + 1 >= argc) return usage();
-      top = std::atoi(argv[++i]);
+      // A plain count: a sign or a suffix ("-1", "3x") is a usage error.
+      const std::string_view v = argv[++i];
+      const char* end = v.data() + v.size();
+      const auto [ptr, ec] = std::from_chars(v.data(), end, top);
+      if (ec != std::errc() || ptr != end) return usage();
     } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
       return usage();
     } else {
@@ -290,9 +297,7 @@ int main(int argc, char** argv) {
             [](const RequestRec* a, const RequestRec* b) {
               return a->total_s > b->total_s;
             });
-  if (static_cast<int>(slowest.size()) > top) {
-    slowest.resize(static_cast<std::size_t>(top));
-  }
+  if (slowest.size() > top) slowest.resize(top);
 
   if (json_out) {
     JsonObject out;
