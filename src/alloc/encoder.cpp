@@ -72,9 +72,8 @@ void AllocEncoder::require(NodeId formula) {
   // The paper's "translation into SAT" phase: bit-blasting one asserted
   // constraint. Timed only on request; assert_true recurses, so the timer
   // wraps the top-level call.
-  static const obs::Metric t_bitblast = obs::histogram("encode.time.bitblast");
   if (obs::phase_timing()) {
-    obs::ScopedTimer timer(t_bitblast);
+    obs::ScopedTimer timer(obs::m::encode_time_bitblast);
     ok_ = blaster_->assert_true(formula) && ok_;
   } else {
     ok_ = blaster_->assert_true(formula) && ok_;
@@ -118,8 +117,7 @@ NodeId AllocEncoder::member_of(NodeId a, std::vector<int> ecus) {
 bool AllocEncoder::build() {
   if (built_) throw std::logic_error("AllocEncoder::build called twice");
   built_ = true;
-  static const obs::Metric t_build = obs::histogram("encode.time.build");
-  obs::ScopedTimer build_timer(t_build);
+  obs::ScopedTimer build_timer(obs::m::encode_time_build);
   const auto problems = net::validate_topology(problem_.arch);
   if (!problems.empty()) {
     throw std::invalid_argument("invalid topology: " + problems.front());

@@ -39,34 +39,17 @@ const char* verdict_name(sat::LBool v) {
   return "?";
 }
 
-/// Distribution metrics for the phases a request's cost decomposes into
-/// (trace spans carry the same names' timings per request; these carry
-/// the aggregate shape across requests).
-obs::Metric encode_ms_hist() {
-  static const obs::Metric m = obs::histogram("opt.encode_ms");
-  return m;
-}
-obs::Metric solve_conflicts_hist() {
-  static const obs::Metric m = obs::histogram("opt.solve_conflicts");
-  return m;
-}
-
 /// Fold one finished optimize() run into the global metrics registry.
 void flush_optimize_metrics(const OptimizeResult& result) {
-  static const obs::Metric runs = obs::counter("opt.runs");
-  static const obs::Metric optimal = obs::counter("opt.optimal");
-  static const obs::Metric calls = obs::counter("opt.sat_calls");
-  static const obs::Metric calls_sat = obs::counter("opt.sat_calls_sat");
-  static const obs::Metric calls_unsat = obs::counter("opt.sat_calls_unsat");
-  static const obs::Metric t_total = obs::histogram("opt.time.total");
-  static const obs::Metric t_solve = obs::histogram("opt.time.solve");
-  obs::add(runs, 1);
-  if (result.status == OptimizeResult::Status::kOptimal) obs::add(optimal, 1);
-  obs::add(calls, result.stats.sat_calls);
-  obs::add(calls_sat, result.stats.sat_calls_sat);
-  obs::add(calls_unsat, result.stats.sat_calls_unsat);
-  obs::observe(t_total, result.stats.seconds);
-  obs::observe(t_solve, result.stats.solve_seconds);
+  obs::add(obs::m::opt_runs, 1);
+  if (result.status == OptimizeResult::Status::kOptimal) {
+    obs::add(obs::m::opt_optimal, 1);
+  }
+  obs::add(obs::m::opt_sat_calls, result.stats.sat_calls);
+  obs::add(obs::m::opt_sat_calls_sat, result.stats.sat_calls_sat);
+  obs::add(obs::m::opt_sat_calls_unsat, result.stats.sat_calls_unsat);
+  obs::observe(obs::m::opt_time_total, result.stats.seconds);
+  obs::observe(obs::m::opt_time_solve, result.stats.solve_seconds);
 }
 
 }  // namespace
@@ -173,7 +156,7 @@ OptimizeResult search(const Problem& problem, Objective objective,
     const std::uint64_t call_conflicts =
         enc.solver().stats().conflicts - conflicts_before;
     conflicts_seen += call_conflicts;
-    obs::observe(solve_conflicts_hist(),
+    obs::observe(obs::m::opt_solve_conflicts,
                  static_cast<double>(call_conflicts));
     result.stats.solve_seconds += secs;
     if (verdict == sat::LBool::kTrue) {
@@ -237,7 +220,7 @@ OptimizeResult search(const Problem& problem, Objective objective,
     const bool built = enc->build();
     const double secs = sw.seconds();
     result.stats.encode_seconds += secs;
-    obs::observe(encode_ms_hist(), secs * 1000.0);
+    obs::observe(obs::m::opt_encode_ms, secs * 1000.0);
     return built;
   };
   // Discharge the encoder's logged UNSAT cores (only for answers that

@@ -37,18 +37,13 @@ class AnnealTelemetry {
   explicit AnnealTelemetry(const AnnealingResult& result)
       : result_(result), start_ns_(obs::monotonic_ns()) {}
   ~AnnealTelemetry() {
-    static const obs::Metric runs = obs::counter("heur.sa.runs");
-    static const obs::Metric iters = obs::counter("heur.sa.iterations");
-    static const obs::Metric accepted = obs::counter("heur.sa.accepted_moves");
-    static const obs::Metric feasible = obs::counter("heur.sa.feasible");
-    static const obs::Metric t_total = obs::histogram("heur.sa.time");
     const double seconds =
         static_cast<double>(obs::monotonic_ns() - start_ns_) * 1e-9;
-    obs::add(runs, 1);
-    obs::add(iters, result_.iterations_run);
-    obs::add(accepted, result_.accepted_moves);
-    if (result_.feasible) obs::add(feasible, 1);
-    obs::observe(t_total, seconds);
+    obs::add(obs::m::heur_sa_runs, 1);
+    obs::add(obs::m::heur_sa_iterations, result_.iterations_run);
+    obs::add(obs::m::heur_sa_accepted_moves, result_.accepted_moves);
+    if (result_.feasible) obs::add(obs::m::heur_sa_feasible, 1);
+    obs::observe(obs::m::heur_sa_time, seconds);
     obs::Event e(obs::ev::anneal);
     e.boolean("feasible", result_.feasible);
     if (result_.feasible) e.num("cost", result_.cost);

@@ -125,8 +125,8 @@ class Session {
   std::vector<sat::Lit> guard_assumptions_;
   std::optional<std::int64_t> prev_optimum_;
   std::int64_t retired_guards_ = 0;
-  obs::GaugeTracker guards_gauge_{obs::gauge("inc.guards")};
-  obs::GaugeTracker dead_guards_gauge_{obs::gauge("inc.dead_guards")};
+  obs::GaugeTracker guards_gauge_{obs::m::inc_guards};
+  obs::GaugeTracker dead_guards_gauge_{obs::m::inc_dead_guards};
 };
 
 }  // namespace optalloc::inc

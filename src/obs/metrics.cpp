@@ -6,8 +6,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <map>
-#include <stdexcept>
 
 #include "obs/events.hpp"
 #include "obs/json.hpp"
@@ -16,25 +14,20 @@
 namespace optalloc::obs {
 namespace {
 
-/// Upper bound on distinct metrics: lets shards be fixed-size arrays whose
-/// slots never move, so writers stay lock-free while snapshot() reads them.
-constexpr std::size_t kMaxMetrics = 1024;
-
-/// Upper bound on distinct histograms: each costs kHistBuckets counters
-/// per thread that observes it, so bucket arrays are allocated lazily and
-/// the slot table is kept small.
-constexpr std::size_t kMaxHistograms = 64;
+// Shards and the registry have one slot per row of obs/metrics.def, each
+// used by the row's kind only: slots never move, so writers stay
+// lock-free while snapshot() reads them.
 
 struct Shard {
-  // Counter sums, indexed by metric id. Only the owning thread writes;
-  // snapshot() reads concurrently (relaxed).
-  std::atomic<std::int64_t> value[kMaxMetrics] = {};
-  // Histogram bucket arrays (kHistBuckets each), indexed by histogram
-  // slot, allocated by the owning thread on first observation. The
-  // pointer is released/acquired so snapshot() sees initialized buckets.
-  std::atomic<std::atomic<std::uint64_t>*> hist[kMaxHistograms] = {};
-  // Histogram value sums, indexed by slot.
-  std::atomic<double> hist_sum[kMaxHistograms] = {};
+  // Counter sums. Only the owning thread writes; snapshot() reads
+  // concurrently (relaxed).
+  std::atomic<std::int64_t> value[kNumMetrics] = {};
+  // Histogram bucket arrays (kHistBuckets each), allocated by the owning
+  // thread on first observation. The pointer is released/acquired so
+  // snapshot() sees initialized buckets.
+  std::atomic<std::atomic<std::uint64_t>*> hist[kNumMetrics] = {};
+  // Histogram value sums.
+  std::atomic<double> hist_sum[kNumMetrics] = {};
 
   ~Shard() {
     for (auto& h : hist) delete[] h.load(std::memory_order_relaxed);
@@ -42,35 +35,25 @@ struct Shard {
 };
 
 struct Watermark {
-  std::int64_t high = 0;
+  std::int64_t high = 0;  ///< 0 = not armed
   std::int64_t low = 0;
   bool above = false;  ///< last reported side (hysteresis state)
 };
 
 struct Registry {
   util::Mutex mutex;
-  std::vector<std::string> names OPTALLOC_GUARDED_BY(mutex);
-  std::vector<MetricKind> kinds OPTALLOC_GUARDED_BY(mutex);
-  std::map<std::string, std::uint32_t, std::less<>> by_name
-      OPTALLOC_GUARDED_BY(mutex);
   std::vector<Shard*> live OPTALLOC_GUARDED_BY(mutex);
   // Totals folded in from exited threads.
-  std::int64_t retired_value[kMaxMetrics] OPTALLOC_GUARDED_BY(mutex) = {};
+  std::int64_t retired_value[kNumMetrics] OPTALLOC_GUARDED_BY(mutex) = {};
   // Gauges are process-wide levels, not per-thread accumulations
   // (atomic, hence deliberately not GUARDED_BY).
-  std::atomic<std::int64_t> gauges[kMaxMetrics] = {};
-  // Histogram slots: metric id -> slot + 1 (0 = not a histogram). Read
-  // lock-free on the observe() hot path (atomic; registration under the
-  // mutex, reads anywhere).
-  std::atomic<int> hist_slot[kMaxMetrics] = {};
-  int num_hist_slots OPTALLOC_GUARDED_BY(mutex) = 0;
+  std::atomic<std::int64_t> gauges[kNumMetrics] = {};
   // Retired histogram buckets/sums folded in from exited threads.
-  std::vector<std::uint64_t> retired_hist[kMaxHistograms]
+  std::vector<std::uint64_t> retired_hist[kNumMetrics]
       OPTALLOC_GUARDED_BY(mutex);
-  double retired_hist_sum[kMaxHistograms] OPTALLOC_GUARDED_BY(mutex) = {};
-  // Armed watermarks by metric name, with their hysteresis state.
-  std::map<std::string, Watermark, std::less<>> watermarks
-      OPTALLOC_GUARDED_BY(mutex);
+  double retired_hist_sum[kNumMetrics] OPTALLOC_GUARDED_BY(mutex) = {};
+  // Watermarks by gauge row, with their hysteresis state.
+  Watermark watermarks[kNumMetrics] OPTALLOC_GUARDED_BY(mutex);
   // Lock-free fast-out for check_watermarks().
   std::atomic<int> num_watermarks{0};
 };
@@ -94,21 +77,19 @@ struct ShardOwner {
   ~ShardOwner() {
     Registry& r = registry();
     util::MutexLock lock(r.mutex);
-    for (std::size_t i = 0; i < kMaxMetrics; ++i) {
+    for (std::size_t i = 0; i < kNumMetrics; ++i) {
       r.retired_value[i] += shard->value[i].load(std::memory_order_relaxed);
-    }
-    for (std::size_t s = 0; s < kMaxHistograms; ++s) {
-      const auto* buckets = shard->hist[s].load(std::memory_order_relaxed);
+      const auto* buckets = shard->hist[i].load(std::memory_order_relaxed);
       if (buckets == nullptr) continue;
-      if (r.retired_hist[s].empty()) {
-        r.retired_hist[s].assign(kHistBuckets, 0);
+      if (r.retired_hist[i].empty()) {
+        r.retired_hist[i].assign(kHistBuckets, 0);
       }
       for (int b = 0; b < kHistBuckets; ++b) {
-        r.retired_hist[s][static_cast<std::size_t>(b)] +=
+        r.retired_hist[i][static_cast<std::size_t>(b)] +=
             buckets[b].load(std::memory_order_relaxed);
       }
-      r.retired_hist_sum[s] +=
-          shard->hist_sum[s].load(std::memory_order_relaxed);
+      r.retired_hist_sum[i] +=
+          shard->hist_sum[i].load(std::memory_order_relaxed);
     }
     r.live.erase(std::find(r.live.begin(), r.live.end(), shard));
     delete shard;
@@ -120,43 +101,15 @@ Shard& local_shard() {
   return *owner.shard;
 }
 
-Metric register_metric(std::string_view name, MetricKind kind) {
-  Registry& r = registry();
-  util::MutexLock lock(r.mutex);
-  const auto it = r.by_name.find(name);
-  if (it != r.by_name.end()) {
-    if (r.kinds[it->second] != kind) {
-      throw std::logic_error("metric '" + std::string(name) +
-                             "' re-registered with a different kind");
-    }
-    return {it->second};
-  }
-  if (r.names.size() >= kMaxMetrics) {
-    throw std::logic_error("metric registry full");
-  }
-  const auto id = static_cast<std::uint32_t>(r.names.size());
-  r.names.emplace_back(name);
-  r.kinds.push_back(kind);
-  r.by_name.emplace(std::string(name), id);
-  if (kind == MetricKind::kHistogram) {
-    if (r.num_hist_slots >= static_cast<int>(kMaxHistograms)) {
-      throw std::logic_error("histogram registry full");
-    }
-    r.hist_slot[id].store(++r.num_hist_slots, std::memory_order_relaxed);
-  }
-  return {id};
-}
-
 }  // namespace
 
-Metric counter(std::string_view name) {
-  return register_metric(name, MetricKind::kCounter);
-}
-Metric gauge(std::string_view name) {
-  return register_metric(name, MetricKind::kGauge);
-}
-Metric histogram(std::string_view name) {
-  return register_metric(name, MetricKind::kHistogram);
+std::optional<Gauge> find_gauge(std::string_view name) {
+  for (std::size_t i = 0; i < kNumMetrics; ++i) {
+    if (kMetrics[i].name == name && kMetrics[i].kind == MetricKind::kGauge) {
+      return Gauge{static_cast<std::uint16_t>(i)};
+    }
+  }
+  return std::nullopt;
 }
 
 int histogram_bucket_index(double value) {
@@ -229,23 +182,21 @@ double LocalHistogram::quantile(double q) const {
   return histogram_quantile(buckets(), q);
 }
 
-void add(Metric m, std::int64_t delta) {
-  local_shard().value[m.id].fetch_add(delta, std::memory_order_relaxed);
+void add(Counter m, std::int64_t delta) {
+  local_shard().value[m.row].fetch_add(delta, std::memory_order_relaxed);
 }
 
-void set(Metric m, std::int64_t value) {
-  registry().gauges[m.id].store(value, std::memory_order_relaxed);
+void set(Gauge m, std::int64_t value) {
+  registry().gauges[m.row].store(value, std::memory_order_relaxed);
 }
 
-void adjust(Metric m, std::int64_t delta) {
-  registry().gauges[m.id].fetch_add(delta, std::memory_order_relaxed);
+void adjust(Gauge m, std::int64_t delta) {
+  registry().gauges[m.row].fetch_add(delta, std::memory_order_relaxed);
 }
 
-void observe(Metric m, double value) {
-  const int slot = registry().hist_slot[m.id].load(std::memory_order_relaxed);
-  if (slot == 0) return;  // not a histogram handle
+void observe(Histogram m, double value) {
   Shard& s = local_shard();
-  auto& cell = s.hist[static_cast<std::size_t>(slot - 1)];
+  auto& cell = s.hist[m.row];
   std::atomic<std::uint64_t>* buckets = cell.load(std::memory_order_relaxed);
   if (buckets == nullptr) {
     buckets = new std::atomic<std::uint64_t>[kHistBuckets]();
@@ -253,8 +204,7 @@ void observe(Metric m, double value) {
   }
   buckets[histogram_bucket_index(value)].fetch_add(1,
                                                    std::memory_order_relaxed);
-  s.hist_sum[static_cast<std::size_t>(slot - 1)].fetch_add(
-      value, std::memory_order_relaxed);
+  s.hist_sum[m.row].fetch_add(value, std::memory_order_relaxed);
 }
 
 std::uint64_t monotonic_ns() {
@@ -264,7 +214,7 @@ std::uint64_t monotonic_ns() {
           .count());
 }
 
-ScopedTimer::ScopedTimer(Metric m) : m_(m), start_ns_(monotonic_ns()) {}
+ScopedTimer::ScopedTimer(Histogram m) : m_(m), start_ns_(monotonic_ns()) {}
 
 ScopedTimer::~ScopedTimer() {
   observe(m_, static_cast<double>(monotonic_ns() - start_ns_) * 1e-9);
@@ -273,33 +223,30 @@ ScopedTimer::~ScopedTimer() {
 std::vector<MetricValue> snapshot() {
   Registry& r = registry();
   util::MutexLock lock(r.mutex);
-  const std::size_t n = r.names.size();
-  std::vector<MetricValue> out(n);
+  std::vector<MetricValue> out(kNumMetrics);
   std::uint64_t merged[kHistBuckets];
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < kNumMetrics; ++i) {
     MetricValue& v = out[i];
-    v.name = r.names[i];
-    v.kind = r.kinds[i];
+    v.name = kMetrics[i].name;
+    v.kind = kMetrics[i].kind;
     if (v.kind == MetricKind::kGauge) {
       v.value = r.gauges[i].load(std::memory_order_relaxed);
       continue;
     }
     if (v.kind == MetricKind::kHistogram) {
-      const std::size_t slot = static_cast<std::size_t>(
-          r.hist_slot[i].load(std::memory_order_relaxed) - 1);
-      double sum = r.retired_hist_sum[slot];
+      double sum = r.retired_hist_sum[i];
       for (int b = 0; b < kHistBuckets; ++b) {
-        merged[b] = r.retired_hist[slot].empty()
+        merged[b] = r.retired_hist[i].empty()
                         ? 0
-                        : r.retired_hist[slot][static_cast<std::size_t>(b)];
+                        : r.retired_hist[i][static_cast<std::size_t>(b)];
       }
       for (const Shard* s : r.live) {
-        const auto* buckets = s->hist[slot].load(std::memory_order_acquire);
+        const auto* buckets = s->hist[i].load(std::memory_order_acquire);
         if (buckets == nullptr) continue;
         for (int b = 0; b < kHistBuckets; ++b) {
           merged[b] += buckets[b].load(std::memory_order_relaxed);
         }
-        sum += s->hist_sum[slot].load(std::memory_order_relaxed);
+        sum += s->hist_sum[i].load(std::memory_order_relaxed);
       }
       std::uint64_t count = 0;
       for (int b = 0; b < kHistBuckets; ++b) {
@@ -318,59 +265,51 @@ std::vector<MetricValue> snapshot() {
     }
     v.value = value;
   }
-  std::sort(out.begin(), out.end(),
-            [](const MetricValue& a, const MetricValue& b) {
-              return a.name < b.name;
-            });
   return out;
 }
 
 void reset_metrics() {
   Registry& r = registry();
   util::MutexLock lock(r.mutex);
-  for (std::size_t i = 0; i < kMaxMetrics; ++i) {
+  for (std::size_t i = 0; i < kNumMetrics; ++i) {
     r.retired_value[i] = 0;
     r.gauges[i].store(0, std::memory_order_relaxed);
-    for (Shard* s : r.live) s->value[i].store(0, std::memory_order_relaxed);
-  }
-  for (std::size_t slot = 0; slot < kMaxHistograms; ++slot) {
-    r.retired_hist[slot].clear();
-    r.retired_hist_sum[slot] = 0.0;
+    r.retired_hist[i].clear();
+    r.retired_hist_sum[i] = 0.0;
+    r.watermarks[i].above = false;
     for (Shard* s : r.live) {
-      auto* buckets = s->hist[slot].load(std::memory_order_acquire);
+      s->value[i].store(0, std::memory_order_relaxed);
+      auto* buckets = s->hist[i].load(std::memory_order_acquire);
       if (buckets == nullptr) continue;
       for (int b = 0; b < kHistBuckets; ++b) {
         buckets[b].store(0, std::memory_order_relaxed);
       }
-      s->hist_sum[slot].store(0.0, std::memory_order_relaxed);
+      s->hist_sum[i].store(0.0, std::memory_order_relaxed);
     }
   }
-  for (auto& [name, w] : r.watermarks) w.above = false;
 }
 
-void set_watermark(std::string_view name, std::int64_t high,
-                   std::int64_t low) {
+void set_watermark(Gauge g, std::int64_t high, std::int64_t low) {
   Registry& r = registry();
   util::MutexLock lock(r.mutex);
+  Watermark& w = r.watermarks[g.row];
   if (high <= 0) {
-    r.watermarks.erase(std::string(name));
+    w = {};
   } else {
-    Watermark& w = r.watermarks[std::string(name)];
     w.high = high;
     w.low = std::min(low >= 0 ? low : high / 4 * 3, high);
   }
-  r.num_watermarks.store(static_cast<int>(r.watermarks.size()),
-                         std::memory_order_relaxed);
+  int armed = 0;
+  for (const Watermark& x : r.watermarks) armed += x.high > 0 ? 1 : 0;
+  r.num_watermarks.store(armed, std::memory_order_relaxed);
 }
 
 void check_watermarks() {
   Registry& r = registry();
   if (r.num_watermarks.load(std::memory_order_relaxed) == 0) return;
-  // snapshot() takes the mutex itself; crossings are emitted after the
-  // table walk, outside it.
-  const std::vector<MetricValue> snap = snapshot();
+  // Crossings are emitted after the table walk, outside the mutex.
   struct Crossing {
-    std::string name;
+    std::string_view name;
     bool above = false;
     std::int64_t value = 0;
     std::int64_t threshold = 0;
@@ -378,20 +317,16 @@ void check_watermarks() {
   std::vector<Crossing> crossings;
   {
     util::MutexLock lock(r.mutex);
-    for (auto& [name, w] : r.watermarks) {
-      const auto it = std::lower_bound(
-          snap.begin(), snap.end(), name,
-          [](const MetricValue& v, const std::string& n) {
-            return v.name < n;
-          });
-      const std::int64_t value =
-          (it != snap.end() && it->name == name) ? it->value : 0;
+    for (std::size_t i = 0; i < kNumMetrics; ++i) {
+      Watermark& w = r.watermarks[i];
+      if (w.high == 0) continue;
+      const std::int64_t value = r.gauges[i].load(std::memory_order_relaxed);
       if (!w.above && value >= w.high) {
         w.above = true;
-        crossings.push_back({name, true, value, w.high});
+        crossings.push_back({kMetrics[i].name, true, value, w.high});
       } else if (w.above && value <= w.low) {
         w.above = false;
-        crossings.push_back({name, false, value, w.low});
+        crossings.push_back({kMetrics[i].name, false, value, w.low});
       }
     }
   }
@@ -404,11 +339,11 @@ void check_watermarks() {
   }
 }
 
-std::string render_metrics(bool include_zero) {
+std::string render_metrics() {
   std::string out;
   char buf[192];
   for (const MetricValue& v : snapshot()) {
-    if (!include_zero && v.value == 0) continue;
+    if (v.value == 0) continue;
     switch (v.kind) {
       case MetricKind::kCounter:
         std::snprintf(buf, sizeof buf, "%-40s counter %lld\n", v.name.c_str(),

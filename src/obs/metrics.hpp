@@ -3,13 +3,16 @@
 // merge-on-read, so service workers and the solver hot path can count
 // without contending on shared cache lines:
 //
-//   * registration (name -> dense id) happens once per call site under a
-//     mutex — typically via a function-local `static Metric`;
+//   * every metric is a row of obs/metrics.def, spelled obs::m::<id> at
+//     its write sites: a dense compile-time id whose C++ type carries the
+//     kind, so add() on a histogram or observe() on a counter does not
+//     compile, and an undeclared metric does not exist;
 //   * writes go to the calling thread's shard: a relaxed atomic add on a
 //     slot only this thread writes (other threads read it during
 //     snapshot), i.e. no locks and no sharing on the hot path;
 //   * snapshot() takes the registry mutex, sums all live shards plus the
-//     totals folded in from exited threads.
+//     totals folded in from exited threads. It lists every declared
+//     metric, at zero until touched.
 //
 // Three kinds:
 //   counter   — monotonically accumulated integer (merge = sum)
@@ -32,7 +35,10 @@
 // set_phase_timing(): clock reads only happen when someone asked for them,
 // keeping the solver's inner loop at a single relaxed load + branch.
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -42,35 +48,79 @@ namespace optalloc::obs {
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
-/// Cheap copyable handle; obtain via counter()/gauge()/histogram().
-struct Metric {
-  std::uint32_t id = 0;
+/// A declared metric: its row in kMetrics, with the kind in the type.
+template <MetricKind K>
+struct MetricId {
+  std::uint16_t row;
+};
+using Counter = MetricId<MetricKind::kCounter>;
+using Gauge = MetricId<MetricKind::kGauge>;
+using Histogram = MetricId<MetricKind::kHistogram>;
+
+/// The kind column of obs/metrics.def.
+namespace metric_kind {
+inline constexpr MetricKind counter = MetricKind::kCounter;
+inline constexpr MetricKind gauge = MetricKind::kGauge;
+inline constexpr MetricKind histogram = MetricKind::kHistogram;
+}  // namespace metric_kind
+
+/// One row of the table, minus its doc column.
+struct MetricInfo {
+  std::string_view name;
+  MetricKind kind;
 };
 
-/// Register (or look up) a metric. Name collisions across kinds throw
-/// std::logic_error; repeated registration of the same (name, kind) returns
-/// the same handle.
-Metric counter(std::string_view name);
-Metric gauge(std::string_view name);
-Metric histogram(std::string_view name);
+inline constexpr MetricInfo kMetrics[] = {
+#define OBS_METRIC(id, name, kind, doc) {name, metric_kind::kind},
+#include "obs/metrics.def"
+#undef OBS_METRIC
+};
+inline constexpr std::size_t kNumMetrics = std::size(kMetrics);
+
+// Sorted names make snapshot() come out sorted and each name unique.
+static_assert([] {
+  for (std::size_t i = 1; i < kNumMetrics; ++i) {
+    if (!(kMetrics[i - 1].name < kMetrics[i].name)) return false;
+  }
+  return true;
+}(), "obs/metrics.def rows must be sorted by name, each name once");
+
+namespace metric_row {
+enum : std::uint16_t {
+#define OBS_METRIC(id, name, kind, doc) id,
+#include "obs/metrics.def"
+#undef OBS_METRIC
+};
+}  // namespace metric_row
+
+/// The metrics as write sites spell them: `obs::add(obs::m::sat_conflicts)`.
+namespace m {
+#define OBS_METRIC(id, name, kind, doc) \
+  inline constexpr MetricId<metric_kind::kind> id{metric_row::id};
+#include "obs/metrics.def"
+#undef OBS_METRIC
+}  // namespace m
+
+/// The declared gauge called `name`, if there is one.
+std::optional<Gauge> find_gauge(std::string_view name);
 
 /// Counter: accumulate `delta` into the calling thread's shard.
-void add(Metric m, std::int64_t delta = 1);
+void add(Counter m, std::int64_t delta = 1);
 
 /// Gauge: set the process-wide level.
-void set(Metric m, std::int64_t value);
+void set(Gauge m, std::int64_t value);
 
 /// Gauge: move the process-wide level by a signed delta (relaxed atomic
 /// add). Owners that share a gauge each add what they hold and subtract
 /// it again when they let go, so the level is the sum of live shares.
-void adjust(Metric m, std::int64_t delta);
+void adjust(Gauge m, std::int64_t delta);
 
 /// One owner's share of a gauge. set() publishes the difference against
 /// the previous set(); the destructor retracts the rest, so a tracked
 /// object's contribution disappears with it.
 class GaugeTracker {
  public:
-  explicit GaugeTracker(Metric m) : m_(m) {}
+  explicit GaugeTracker(Gauge m) : m_(m) {}
   ~GaugeTracker() { set(0); }
   GaugeTracker(const GaugeTracker&) = delete;
   GaugeTracker& operator=(const GaugeTracker&) = delete;
@@ -81,14 +131,14 @@ class GaugeTracker {
   }
 
  private:
-  Metric m_;
+  Gauge m_;
   std::int64_t value_ = 0;
 };
 
 /// Histogram: record one observation into the calling thread's shard.
 /// Cheap (index computation + two relaxed atomic adds); the thread's
 /// first observation of a histogram allocates its kHistBuckets counters.
-void observe(Metric m, double value);
+void observe(Histogram m, double value);
 
 // --- Histogram bucket scheme (shared by the registry and LocalHistogram).
 // Covers (2^kHistMinExp, 2^kHistMaxExp) ≈ (9.3e-10, 1.7e10) with
@@ -142,13 +192,13 @@ class LocalHistogram {
 /// RAII duration observation: the scope's wall seconds go to histogram m.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Metric m);
+  explicit ScopedTimer(Histogram m);
   ~ScopedTimer();
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
-  Metric m_;
+  Histogram m_;
   std::uint64_t start_ns_;
 };
 
@@ -163,19 +213,18 @@ struct MetricValue {
   std::vector<HistBucket> buckets;  ///< histograms only: non-empty buckets
 };
 
-/// Merge-on-read view of every registered metric, sorted by name.
+/// Merge-on-read view of every declared metric: one entry per row of
+/// kMetrics, in table order, so snapshot()[id.row] is metric id's value.
 std::vector<MetricValue> snapshot();
 
-/// Zero all shards, retired totals and gauges (registrations and armed
-/// watermarks persist).
+/// Zero all shards, retired totals and gauges (armed watermarks persist).
 void reset_metrics();
 
-/// Arm (or re-arm) a watermark on metric `name`: `low` defaults to 3/4
-/// of `high` when negative; high <= 0 disarms.
-void set_watermark(std::string_view name, std::int64_t high,
-                   std::int64_t low = -1);
+/// Arm (or re-arm) a watermark on gauge `g`: `low` defaults to 3/4 of
+/// `high` when negative; high <= 0 disarms.
+void set_watermark(Gauge g, std::int64_t high, std::int64_t low = -1);
 
-/// Compare every armed watermark against snapshot() and emit a
+/// Compare every armed watermark against its gauge's level and emit a
 /// `watermark` trace event (fields: metric, level "high"/"normal",
 /// value, threshold) on each upward crossing of `high` and again on the
 /// way back down to `low` — hysteresis, so a level hovering at the line
@@ -184,8 +233,8 @@ void set_watermark(std::string_view name, std::int64_t high,
 void check_watermarks();
 
 /// "name kind value" per line (histograms: count, sum and quantiles);
-/// omits zero entries unless `include_zero`.
-std::string render_metrics(bool include_zero = false);
+/// omits zero entries.
+std::string render_metrics();
 
 /// The registry's one JSON form, a typed snapshot suitable for the wire:
 /// {"name":{"kind":"counter","value":n}, ...}; histograms carry count,

@@ -1,10 +1,13 @@
 #include "pb/opb.hpp"
 
+#include <charconv>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "sat/solver.hpp"
 
@@ -12,21 +15,38 @@ namespace optalloc::pb {
 
 namespace {
 
+/// `text` as a whole decimal integer in [lo, hi], or runtime_error naming
+/// `what`: no suffix, no overflow, and only the one sign a value needs.
+std::int64_t parse_int(
+    std::string_view text, const char* what,
+    std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
+  if (text.size() > 1 && text[0] == '+' && text[1] != '-') {
+    text.remove_prefix(1);
+  }
+  std::int64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+    throw std::runtime_error("opb: bad " + std::string(what) + ": '" +
+                             std::string(text) + "'");
+  }
+  return v;
+}
+
 /// Parse a literal token "x12" or "~x12" (1-based) into a Lit.
-sat::Lit parse_literal(const std::string& token, std::int32_t num_vars) {
+sat::Lit parse_literal(std::string_view token, std::int32_t num_vars) {
   bool negated = false;
-  std::size_t pos = 0;
   if (!token.empty() && token[0] == '~') {
     negated = true;
-    pos = 1;
+    token.remove_prefix(1);
   }
-  if (pos >= token.size() || token[pos] != 'x') {
-    throw std::runtime_error("opb: expected literal, got '" + token + "'");
+  if (token.size() < 2 || token[0] != 'x' || token[1] == '+') {
+    throw std::runtime_error("opb: expected literal, got '" +
+                             std::string(token) + "'");
   }
-  const long index = std::stol(token.substr(pos + 1));
-  if (index < 1 || index > num_vars) {
-    throw std::runtime_error("opb: variable out of range: " + token);
-  }
+  const std::int64_t index =
+      parse_int(token.substr(1), "variable", 1, num_vars);
   return sat::Lit(static_cast<sat::Var>(index - 1), negated);
 }
 
@@ -40,7 +60,7 @@ std::vector<Term> parse_terms(std::istringstream& in, std::string& stop,
       stop = token;
       return terms;
     }
-    const std::int64_t coef = std::stoll(token);
+    const std::int64_t coef = parse_int(token, "coefficient");
     std::string lit_token;
     if (!(in >> lit_token)) {
       throw std::runtime_error("opb: coefficient without literal");
@@ -63,8 +83,10 @@ OpbProblem parse_opb(std::istream& in) {
       // Header comment: "* #variable= N #constraint= M".
       const auto var_pos = line.find("#variable=");
       if (var_pos != std::string::npos) {
+        std::string count;
+        std::istringstream(line.substr(var_pos + 10)) >> count;
         problem.num_vars = static_cast<std::int32_t>(
-            std::stol(line.substr(var_pos + 10)));
+            parse_int(count, "#variable= count", 0, sat::kMaxVars));
         header_seen = true;
       }
       continue;
@@ -96,8 +118,11 @@ OpbProblem parse_opb(std::istream& in) {
     if (!(body >> rhs_token)) {
       throw std::runtime_error("opb: missing right-hand side: " + line);
     }
-    c.rhs = std::stoll(rhs_token);
-    if (body >> semi && semi != ";") {
+    // The grammar lets the ';' touch the right-hand side.
+    const bool terminated = rhs_token.size() > 1 && rhs_token.back() == ';';
+    if (terminated) rhs_token.pop_back();
+    c.rhs = parse_int(rhs_token, "right-hand side");
+    if (body >> semi && (terminated || semi != ";")) {
       throw std::runtime_error("opb: trailing tokens: " + line);
     }
     problem.constraints.push_back(std::move(c));

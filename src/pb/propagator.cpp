@@ -64,11 +64,9 @@ bool PbPropagator::add(Constraint c) {
          "PB constraints must be added at the top level");
   // The paper's native 0-1 constraint path: count every translated
   // constraint, and time the translation when phase timing is on.
-  static const obs::Metric n_constraints = obs::counter("pb.constraints");
-  static const obs::Metric t_translate = obs::histogram("pb.time.translate");
-  obs::add(n_constraints, 1);
+  obs::add(obs::m::pb_constraints, 1);
   std::optional<obs::ScopedTimer> timer;
-  if (obs::phase_timing()) timer.emplace(t_translate);
+  if (obs::phase_timing()) timer.emplace(obs::m::pb_time_translate);
   if (!solver_.ok()) return false;
   if (c.trivially_true()) return true;
   // Register the PB axiom with the proof before deriving anything from it,

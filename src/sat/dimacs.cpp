@@ -9,18 +9,22 @@ namespace optalloc::sat {
 
 DimacsProblem parse_dimacs(std::istream& in) {
   DimacsProblem problem;
-  std::int64_t declared_clauses = -1;
   std::string line;
   std::vector<Lit> current;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == 'c') continue;
     if (line[0] == 'p') {
+      // The declared clause count is checked for syntax only: mismatched
+      // counts are common in the wild and tolerated.
       std::istringstream header(line);
       std::string p, fmt;
-      header >> p >> fmt >> problem.num_vars >> declared_clauses;
-      if (fmt != "cnf" || !header) {
+      std::int64_t vars = -1, clauses = -1;
+      header >> p >> fmt >> vars >> clauses;
+      if (p != "p" || fmt != "cnf" || !header || vars < 0 ||
+          vars > kMaxVars || clauses < 0) {
         throw std::runtime_error("dimacs: malformed problem line: " + line);
       }
+      problem.num_vars = static_cast<std::int32_t>(vars);
       continue;
     }
     std::istringstream body(line);
@@ -31,19 +35,22 @@ DimacsProblem parse_dimacs(std::istream& in) {
         current.clear();
         continue;
       }
-      const auto v = static_cast<Var>(std::abs(raw) - 1);
-      if (v >= problem.num_vars) {
+      // Range-check the 64-bit value: a narrowing cast first would wrap
+      // 2^32 + 1 onto x1.
+      if (raw < -problem.num_vars || raw > problem.num_vars) {
         throw std::runtime_error("dimacs: literal out of declared range");
       }
-      current.push_back(Lit(v, raw < 0));
+      current.push_back(Lit(static_cast<Var>(raw < 0 ? -raw : raw) - 1,
+                            raw < 0));
+    }
+    // A token that is not an integer would otherwise end the line early
+    // and merge the rest of its clause into the next line's.
+    if (!body.eof()) {
+      throw std::runtime_error("dimacs: not a literal in: " + line);
     }
   }
   if (!current.empty()) {
     throw std::runtime_error("dimacs: clause not terminated by 0");
-  }
-  if (declared_clauses >= 0 &&
-      static_cast<std::int64_t>(problem.clauses.size()) != declared_clauses) {
-    // Tolerate mismatched counts (common in the wild) — no error.
   }
   return problem;
 }

@@ -784,19 +784,15 @@ void Inprocessor::emit_telemetry(double seconds, std::size_t words_freed) {
   s_.stats_.eliminated_vars += eliminated_;
   s_.stats_.inprocess_reclaimed_words += words_freed;
 
-  static const obs::Metric passes = obs::counter("sat.inprocess.passes");
-  static const obs::Metric subsumed = obs::counter("sat.inprocess.subsumed");
-  static const obs::Metric strengthened =
-      obs::counter("sat.inprocess.strengthened");
-  static const obs::Metric eliminated =
-      obs::counter("sat.inprocess.eliminated_vars");
-  static const obs::Metric reclaimed =
-      obs::counter("sat.inprocess.reclaimed_words");
-  obs::add(passes, 1);
-  obs::add(subsumed, static_cast<std::int64_t>(subsumed_));
-  obs::add(strengthened, static_cast<std::int64_t>(strengthened_));
-  obs::add(eliminated, static_cast<std::int64_t>(eliminated_));
-  obs::add(reclaimed, static_cast<std::int64_t>(words_freed));
+  obs::add(obs::m::sat_inprocess_passes, 1);
+  obs::add(obs::m::sat_inprocess_subsumed,
+           static_cast<std::int64_t>(subsumed_));
+  obs::add(obs::m::sat_inprocess_strengthened,
+           static_cast<std::int64_t>(strengthened_));
+  obs::add(obs::m::sat_inprocess_eliminated_vars,
+           static_cast<std::int64_t>(eliminated_));
+  obs::add(obs::m::sat_inprocess_reclaimed_words,
+           static_cast<std::int64_t>(words_freed));
 
   obs::Event(obs::ev::inprocess_pass)
       .num("subsumed", static_cast<std::int64_t>(subsumed_))
@@ -848,9 +844,7 @@ void Solver::restore_var(Var v) {
   decision_[static_cast<std::size_t>(v)] = 1;
   if (assigns_[static_cast<std::size_t>(v)] == LBool::kUndef) order_.insert(v);
   ++stats_.restored_vars;
-  static const obs::Metric restored =
-      obs::counter("sat.inprocess.restored_vars");
-  obs::add(restored, 1);
+  obs::add(obs::m::sat_inprocess_restored_vars, 1);
 
   // v's group stays in elim_groups_: extend_model() skips the groups of
   // variables no longer eliminated, and v, now frozen, is never

@@ -23,39 +23,32 @@ double now_seconds() {
 /// registry — once per call, so the search loop itself never touches
 /// shared state.
 void flush_solve_metrics(const SolverStats& before, const SolverStats& after) {
-  static const obs::Metric solve_calls = obs::counter("sat.solve_calls");
-  static const obs::Metric decisions = obs::counter("sat.decisions");
-  static const obs::Metric propagations = obs::counter("sat.propagations");
-  static const obs::Metric conflicts = obs::counter("sat.conflicts");
-  static const obs::Metric restarts = obs::counter("sat.restarts");
-  static const obs::Metric theory = obs::counter("sat.theory_propagations");
-  static const obs::Metric gc_runs = obs::counter("sat.gc_runs");
-  static const obs::Metric t_prop = obs::histogram("sat.time.propagate");
-  static const obs::Metric t_analyze = obs::histogram("sat.time.analyze");
-  static const obs::Metric t_reduce = obs::histogram("sat.time.reduce_db");
-  static const obs::Metric t_inprocess = obs::histogram("sat.time.inprocess");
   const auto delta = [](std::uint64_t a, std::uint64_t b) {
     return static_cast<std::int64_t>(a - b);
   };
-  obs::add(solve_calls, 1);
-  obs::add(decisions, delta(after.decisions, before.decisions));
-  obs::add(propagations, delta(after.propagations, before.propagations));
-  obs::add(conflicts, delta(after.conflicts, before.conflicts));
-  obs::add(restarts, delta(after.restarts, before.restarts));
-  obs::add(theory,
+  obs::add(obs::m::sat_solve_calls, 1);
+  obs::add(obs::m::sat_decisions, delta(after.decisions, before.decisions));
+  obs::add(obs::m::sat_propagations,
+           delta(after.propagations, before.propagations));
+  obs::add(obs::m::sat_conflicts, delta(after.conflicts, before.conflicts));
+  obs::add(obs::m::sat_restarts, delta(after.restarts, before.restarts));
+  obs::add(obs::m::sat_theory_propagations,
            delta(after.theory_propagations, before.theory_propagations));
-  obs::add(gc_runs, delta(after.gc_runs, before.gc_runs));
+  obs::add(obs::m::sat_gc_runs, delta(after.gc_runs, before.gc_runs));
   if (after.propagate_seconds > before.propagate_seconds) {
-    obs::observe(t_prop, after.propagate_seconds - before.propagate_seconds);
+    obs::observe(obs::m::sat_time_propagate,
+                 after.propagate_seconds - before.propagate_seconds);
   }
   if (after.analyze_seconds > before.analyze_seconds) {
-    obs::observe(t_analyze, after.analyze_seconds - before.analyze_seconds);
+    obs::observe(obs::m::sat_time_analyze,
+                 after.analyze_seconds - before.analyze_seconds);
   }
   if (after.reduce_seconds > before.reduce_seconds) {
-    obs::observe(t_reduce, after.reduce_seconds - before.reduce_seconds);
+    obs::observe(obs::m::sat_time_reduce_db,
+                 after.reduce_seconds - before.reduce_seconds);
   }
   if (after.inprocess_seconds > before.inprocess_seconds) {
-    obs::observe(t_inprocess,
+    obs::observe(obs::m::sat_time_inprocess,
                  after.inprocess_seconds - before.inprocess_seconds);
   }
 }
@@ -809,19 +802,7 @@ void Solver::emit_search_sample(bool final_sample) {
       .num("conflicts_per_sec", conflicts_per_sec)
       .num("lbd_mean", lbd_mean)
       .boolean("final", final_sample);
-  // Live gauges behind the service's `metrics` verb: last-writer-wins
-  // across concurrent solvers, which is the intended "what is the search
-  // doing right now" semantics.
-  static const obs::Metric g_samples = obs::counter("sat.search_samples");
-  static const obs::Metric g_trail = obs::gauge("sat.live.trail_depth");
-  static const obs::Metric g_learnts = obs::gauge("sat.live.learnt_db");
-  static const obs::Metric g_pps = obs::gauge("sat.live.props_per_sec");
-  static const obs::Metric g_lbd = obs::gauge("sat.live.lbd_mean_x1000");
-  obs::add(g_samples);
-  obs::set(g_trail, trail);
-  obs::set(g_learnts, learnts);
-  obs::set(g_pps, static_cast<std::int64_t>(props_per_sec));
-  obs::set(g_lbd, static_cast<std::int64_t>(lbd_mean * 1000.0));
+  obs::add(obs::m::sat_search_samples);
 
   sample_last_ns_ = now;
   sample_last_props_ = stats_.propagations;

@@ -239,11 +239,11 @@ class Solver {
   /// Conflicts between "search_sample" trajectory events (0 = off). Each
   /// sample carries propagation/conflict rates, trail depth, learnt-DB
   /// size and the window's mean learnt LBD; samples go to the flight
-  /// recorder always, to the trace sink when tracing is on, and to the
-  /// sat.live.* gauges. A final sample is emitted when a solve() call
-  /// ends with conflicts outstanding since the last one — so an
-  /// interrupted (deadline-missed) search always leaves its last sample
-  /// in the flight ring.
+  /// recorder always and to the trace sink when tracing is on, and are
+  /// counted in sat.search_samples. A final sample is emitted when a
+  /// solve() call ends with conflicts outstanding since the last one — so
+  /// an interrupted (deadline-missed) search always leaves its last
+  /// sample in the flight ring.
   std::int64_t sample_interval = 2048;
   /// Test-only fault injection: corrupt the Nth learnt clause (1-based) by
   /// dropping its last literal, in both the clause DB and the proof log.
@@ -319,10 +319,10 @@ class Solver {
   // Capacity gauges: this solver's share of the process-wide arena
   // footprint, refreshed at solve exit and after GC so `alloc_top` and
   // the watermark sampler see live/wasted bytes; retracted on destruction.
-  obs::GaugeTracker arena_bytes_{obs::gauge("sat.arena.bytes")};
-  obs::GaugeTracker arena_clauses_{obs::gauge("sat.arena.clauses")};
-  obs::GaugeTracker wasted_bytes_{obs::gauge("sat.arena.wasted_bytes")};
-  obs::GaugeTracker learnt_clauses_{obs::gauge("sat.learnts")};
+  obs::GaugeTracker arena_bytes_{obs::m::sat_arena_bytes};
+  obs::GaugeTracker arena_clauses_{obs::m::sat_arena_clauses};
+  obs::GaugeTracker wasted_bytes_{obs::m::sat_arena_wasted_bytes};
+  obs::GaugeTracker learnt_clauses_{obs::m::sat_learnts};
   void sync_capacity_gauges();
 
   // Assignment state.

@@ -15,6 +15,9 @@ namespace optalloc::sat {
 using Var = std::int32_t;
 inline constexpr Var kUndefVar = -1;
 
+/// The most variables a Lit can index: 2*var + sign must fit an int32.
+inline constexpr std::int32_t kMaxVars = std::int32_t{1} << 30;
+
 /// A literal is 2*var + sign; sign==1 means the negated literal.
 class Lit {
  public:

@@ -18,8 +18,9 @@ ResultCache::~ResultCache() {
   // occupancy behind.
   for (const Shard& s : shards_) {
     util::MutexLock lock(s.mu);
-    obs::adjust(bytes_gauge_, -static_cast<std::int64_t>(s.bytes));
-    obs::adjust(entries_gauge_, -static_cast<std::int64_t>(s.lru.size()));
+    obs::adjust(obs::m::svc_cache_bytes, -static_cast<std::int64_t>(s.bytes));
+    obs::adjust(obs::m::svc_cache_entries,
+                -static_cast<std::int64_t>(s.lru.size()));
   }
 }
 
@@ -60,8 +61,9 @@ void ResultCache::put(const Fingerprint& key, std::string canonical_text,
     s.lru.splice(s.lru.begin(), s.lru, it->second);
     const std::size_t after = entry_bytes(*it->second);
     s.bytes += after - before;
-    obs::adjust(bytes_gauge_, static_cast<std::int64_t>(after) -
-                                  static_cast<std::int64_t>(before));
+    obs::adjust(obs::m::svc_cache_bytes,
+                static_cast<std::int64_t>(after) -
+                    static_cast<std::int64_t>(before));
     return;
   }
   if (s.lru.size() >= per_shard_capacity_) {
@@ -70,16 +72,16 @@ void ResultCache::put(const Fingerprint& key, std::string canonical_text,
     s.lru.pop_back();
     ++s.stats.evictions;
     s.bytes -= victim;
-    obs::adjust(bytes_gauge_, -static_cast<std::int64_t>(victim));
-    obs::adjust(entries_gauge_, -1);
+    obs::adjust(obs::m::svc_cache_bytes, -static_cast<std::int64_t>(victim));
+    obs::adjust(obs::m::svc_cache_entries, -1);
   }
   s.lru.push_front(Entry{key, std::move(canonical_text), std::move(answer)});
   s.index.emplace(key.a, s.lru.begin());
   ++s.stats.insertions;
   const std::size_t added = entry_bytes(s.lru.front());
   s.bytes += added;
-  obs::adjust(bytes_gauge_, static_cast<std::int64_t>(added));
-  obs::adjust(entries_gauge_, 1);
+  obs::adjust(obs::m::svc_cache_bytes, static_cast<std::int64_t>(added));
+  obs::adjust(obs::m::svc_cache_entries, 1);
 }
 
 CacheStats ResultCache::stats() const {

@@ -100,9 +100,6 @@ class ResultCache {
 
   std::size_t per_shard_capacity_;
   std::vector<Shard> shards_;
-  /// Capacity gauges, moved under the shard mutexes by exact deltas.
-  obs::Metric bytes_gauge_ = obs::gauge("svc.cache.bytes");
-  obs::Metric entries_gauge_ = obs::gauge("svc.cache.entries");
 };
 
 }  // namespace optalloc::svc

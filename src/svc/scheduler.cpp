@@ -31,38 +31,6 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-struct SvcMetrics {
-  obs::Metric requests = obs::counter("svc.requests");
-  obs::Metric rejected = obs::counter("svc.rejected");
-  obs::Metric completed = obs::counter("svc.completed");
-  obs::Metric cancelled = obs::counter("svc.cancelled");
-  obs::Metric cache_hits = obs::counter("svc.cache.hits");
-  obs::Metric cache_misses = obs::counter("svc.cache.misses");
-  obs::Metric deadline_expired = obs::counter("svc.deadline_expired");
-  // Capacity gauges, moved by exact deltas under mu_.
-  obs::Metric queue_depth = obs::gauge("svc.queue_depth");
-  obs::Metric queue_bytes = obs::gauge("svc.queue.bytes");
-  obs::Metric sessions_live = obs::gauge("svc.sessions.live");
-  // Per-job optimize() wall seconds: the sum is the workers' busy time.
-  obs::Metric solve_time = obs::histogram("svc.time.solve");
-  // Distributions: ms-scale histograms scrapeable via the metrics verb.
-  // The same observations feed the per-Scheduler LocalHistogram behind
-  // stats(), so `metrics --prom` quantiles and `stats` percentiles agree.
-  obs::Metric queue_wait_ms = obs::histogram("svc.queue_wait_ms");
-  obs::Metric request_ms = obs::histogram("svc.request_ms");
-  obs::Metric cache_lookup_ms = obs::histogram("svc.cache_lookup_ms");
-  // Incremental sessions (the revise verb).
-  obs::Metric sessions_opened = obs::counter("svc.sessions.opened");
-  obs::Metric sessions_closed = obs::counter("svc.sessions.closed");
-  obs::Metric revises = obs::counter("svc.revises");
-  obs::Metric revise_ms = obs::histogram("svc.revise_ms");
-};
-
-SvcMetrics& metrics() {
-  static SvcMetrics m;
-  return m;
-}
-
 }  // namespace
 
 const char* job_state_name(JobState s) {
@@ -206,7 +174,7 @@ Scheduler::~Scheduler() {
   // Sessions still open die with the scheduler: retract their share of
   // the live-session gauge.
   util::MutexLock lock(mu_);
-  obs::adjust(metrics().sessions_live,
+  obs::adjust(obs::m::svc_sessions_live,
               -static_cast<std::int64_t>(sessions_.size()));
 }
 
@@ -226,7 +194,7 @@ std::optional<std::string> Scheduler::submit(JobRequest request) {
     util::MutexLock lock(mu_);
     if (!accepting_) {
       ++counters_.rejected;
-      obs::add(metrics().rejected);
+      obs::add(obs::m::svc_rejected);
       return std::nullopt;
     }
     job->id = "r" + std::to_string(++next_id_);
@@ -234,7 +202,7 @@ std::optional<std::string> Scheduler::submit(JobRequest request) {
     depth = queue_.size();
   }
   obs::ContextScope ctx_scope(job->ctx);
-  obs::add(metrics().requests);
+  obs::add(obs::m::svc_requests);
   if (obs::trace_enabled()) {
     obs::Event(obs::ev::request_received)
         .str("id", job->id)
@@ -248,11 +216,11 @@ std::optional<std::string> Scheduler::submit(JobRequest request) {
     obs::Span span("cache_lookup");
     const auto lookup_start = Clock::now();
     hit = cache_.get(job->canon.key, job->canon.text);
-    obs::observe(metrics().cache_lookup_ms,
+    obs::observe(obs::m::svc_cache_lookup_ms,
                  seconds_since(lookup_start) * 1000.0);
   }
   if (hit) {
-    obs::add(metrics().cache_hits);
+    obs::add(obs::m::svc_cache_hits);
     obs::Event(obs::ev::cache_hit).str("id", job->id);
     JobAnswer answer;
     answer.cached = true;
@@ -275,14 +243,14 @@ std::optional<std::string> Scheduler::submit(JobRequest request) {
     finalize(job, JobState::kDone, std::move(answer));
     return job->id;
   }
-  obs::add(metrics().cache_misses);
+  obs::add(obs::m::svc_cache_misses);
 
   {
     util::MutexLock lock(mu_);
     if (queue_.size() >= options_.queue_capacity) {
       ++counters_.rejected;
       jobs_.erase(job->id);
-      obs::add(metrics().rejected);
+      obs::add(obs::m::svc_rejected);
       return std::nullopt;
     }
     ++counters_.submitted;
@@ -293,8 +261,8 @@ std::optional<std::string> Scheduler::submit(JobRequest request) {
     job->queue_span = obs::span_begin_event("queue_wait", job->ctx);
     job->queue_bytes = job->canon.text.size();
     queue_.push_back(job);
-    obs::adjust(metrics().queue_depth, 1);
-    obs::adjust(metrics().queue_bytes,
+    obs::adjust(obs::m::svc_queue_depth, 1);
+    obs::adjust(obs::m::svc_queue_bytes,
                 static_cast<std::int64_t>(job->queue_bytes));
   }
   work_cv_.notify_one();
@@ -398,9 +366,9 @@ std::optional<std::pair<std::string, SessionAnswer>> Scheduler::session_open(
     entry->id = "s" + std::to_string(++next_session_id_);
     sessions_.emplace(entry->id, entry);
     ++counters_.sessions_opened;
-    obs::adjust(metrics().sessions_live, 1);
+    obs::adjust(obs::m::svc_sessions_live, 1);
   }
-  obs::add(metrics().sessions_opened);
+  obs::add(obs::m::svc_sessions_opened);
   {
     obs::ContextScope ctx_scope(entry->ctx);
     if (obs::trace_enabled()) {
@@ -431,7 +399,7 @@ std::optional<SessionAnswer> Scheduler::session_revise(
     entry = it->second;
     ++counters_.revises;
   }
-  obs::add(metrics().revises);
+  obs::add(obs::m::svc_revises);
   return run_session_solve(*entry, &patch, patch.ops.size(), deadline_s,
                            conflicts);
 }
@@ -445,9 +413,9 @@ bool Scheduler::session_close(const std::string& id) {
     entry = it->second;
     sessions_.erase(it);
     ++counters_.sessions_closed;
-    obs::adjust(metrics().sessions_live, -1);
+    obs::adjust(obs::m::svc_sessions_live, -1);
   }
-  obs::add(metrics().sessions_closed);
+  obs::add(obs::m::svc_sessions_closed);
   // A solve still in flight on another connection thread keeps the entry
   // alive through its shared_ptr; the solver is freed on the last drop.
   obs::ContextScope ctx_scope(entry->ctx);
@@ -474,7 +442,7 @@ SessionAnswer Scheduler::run_session_solve(SessionEntry& entry,
                               : entry.session->solve(budget);
     solved = entry.session->problem();
   }
-  obs::observe(metrics().revise_ms, result.stats.seconds * 1000.0);
+  obs::observe(obs::m::svc_revise_ms, result.stats.seconds * 1000.0);
 
   SessionAnswer answer;
   fill_answer(answer, result, nullptr);
@@ -588,8 +556,8 @@ void Scheduler::worker_loop() {
       job = queue_.front();
       queue_.pop_front();
       job->state = JobState::kRunning;
-      obs::adjust(metrics().queue_depth, -1);
-      obs::adjust(metrics().queue_bytes,
+      obs::adjust(obs::m::svc_queue_depth, -1);
+      obs::adjust(obs::m::svc_queue_bytes,
                   -static_cast<std::int64_t>(job->queue_bytes));
     }
     // Panic guard: an exception escaping a solve (OOM in the encoder, a
@@ -625,7 +593,7 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
   obs::ContextScope ctx_scope(job->ctx);
   JobAnswer answer;
   answer.queue_seconds = seconds_since(job->submitted);
-  obs::observe(metrics().queue_wait_ms, answer.queue_seconds * 1000.0);
+  obs::observe(obs::m::svc_queue_wait_ms, answer.queue_seconds * 1000.0);
   obs::span_end_event("queue_wait", job->ctx, job->queue_span,
                       answer.queue_seconds);
 
@@ -695,7 +663,7 @@ void Scheduler::execute(const std::shared_ptr<Job>& job) {
   const alloc::OptimizeResult result =
       alloc::optimize(job->canon.problem, job->canon.objective, opts);
   answer.solve_seconds = seconds_since(solve_start);
-  obs::observe(metrics().solve_time, answer.solve_seconds);
+  obs::observe(obs::m::svc_time_solve, answer.solve_seconds);
 
   bool cancelled = false;
   {
@@ -744,11 +712,11 @@ void Scheduler::finalize(const std::shared_ptr<Job>& job, JobState state,
     if (deadline_expired) ++counters_.deadline_expired;
     latencies_ms_.observe(total_ms);
   }
-  obs::observe(metrics().request_ms, total_ms);
+  obs::observe(obs::m::svc_request_ms, total_ms);
   done_cv_.notify_all();
-  obs::add(state == JobState::kCancelled ? metrics().cancelled
-                                         : metrics().completed);
-  if (deadline_expired) obs::add(metrics().deadline_expired);
+  obs::add(state == JobState::kCancelled ? obs::m::svc_cancelled
+                                         : obs::m::svc_completed);
+  if (deadline_expired) obs::add(obs::m::svc_deadline_expired);
   obs::Event(obs::ev::request_done)
       .str("id", job->id)
       .str("state", job_state_name(state))

@@ -261,21 +261,18 @@ TEST(IncSession, ReviseMatchesColdOnEditedInstance) {
 }
 
 TEST(IncSession, DeadGuardAccountingTracksRetirement) {
-  const auto guard_level = [](const char* name) {
-    for (const auto& m : obs::snapshot()) {
-      if (m.name == name) return m.value;
-    }
-    return std::int64_t{0};
+  const auto guard_level = [](obs::Gauge g) {
+    return obs::snapshot()[g.row].value;
   };
-  const std::int64_t live_before = guard_level("inc.guards");
-  const std::int64_t dead_before = guard_level("inc.dead_guards");
+  const std::int64_t live_before = guard_level(obs::m::inc_guards);
+  const std::int64_t dead_before = guard_level(obs::m::inc_dead_guards);
   {
     Session session(parse(kSystem), alloc::Objective::sum_trt());
     ASSERT_EQ(session.solve().status, SessionResult::Status::kOptimal);
     EXPECT_GT(session.live_guards(), 0u);
     EXPECT_EQ(session.retired_guards(), 0);
     EXPECT_EQ(session.dead_guard_fraction(), 0.0);
-    EXPECT_EQ(guard_level("inc.guards") - live_before,
+    EXPECT_EQ(guard_level(obs::m::inc_guards) - live_before,
               static_cast<std::int64_t>(session.live_guards()));
 
     const InstancePatch patch = parse_ops(
@@ -285,12 +282,12 @@ TEST(IncSession, DeadGuardAccountingTracksRetirement) {
     const double fraction = session.dead_guard_fraction();
     EXPECT_GT(fraction, 0.0);
     EXPECT_LT(fraction, 1.0);
-    EXPECT_EQ(guard_level("inc.dead_guards") - dead_before,
+    EXPECT_EQ(guard_level(obs::m::inc_dead_guards) - dead_before,
               session.retired_guards());
   }
   // Session destruction retracts both gauges.
-  EXPECT_EQ(guard_level("inc.guards"), live_before);
-  EXPECT_EQ(guard_level("inc.dead_guards"), dead_before);
+  EXPECT_EQ(guard_level(obs::m::inc_guards), live_before);
+  EXPECT_EQ(guard_level(obs::m::inc_dead_guards), dead_before);
 }
 
 TEST(IncSession, InfeasibleEditYieldsConflictingCore) {
@@ -373,10 +370,7 @@ TEST(IncSession, CoreExtractionStopsOnceTheStopFlagIsRaised) {
   }
   const InstancePatch overload = parse_ops(ops + "]");
   const auto solver_calls = [] {
-    for (const obs::MetricValue& m : obs::snapshot()) {
-      if (m.name == "sat.solve_calls") return m.value;
-    }
-    return std::int64_t{0};
+    return obs::snapshot()[obs::m::sat_solve_calls.row].value;
   };
 
   Session session(base, alloc::Objective::sum_trt());

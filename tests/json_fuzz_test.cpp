@@ -1,11 +1,12 @@
 // Deterministic mutation fuzzing of the service's input parsers:
 // obs::json_parse, which reads every service request line and every trace
 // or flight-dump line the schema validator checks; svc::parse_request on
-// top of it (revise lines reach inc::parse_patch); and alloc::parse_problem
-// on the problem text the submit requests carry. Seeded byte flips,
-// truncations, splices, insertions and deep nesting over a corpus of valid
-// requests and real trace lines: no parser may crash or hang, each call
-// returns a value or a rejection, and every JSON document json_parse
+// top of it (revise lines reach inc::parse_patch); alloc::parse_problem
+// on the problem text the submit requests carry; and the solver front
+// ends' file readers, sat::parse_dimacs and pb::parse_opb. Seeded byte
+// flips, truncations, splices, insertions and deep nesting over a corpus
+// of valid inputs and real trace lines: no parser may crash or hang, each
+// call returns a value or a rejection, and every JSON document json_parse
 // accepts must survive render -> parse -> render unchanged. The asan and
 // ubsan presets run this suite like any other.
 
@@ -16,11 +17,14 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "alloc/io.hpp"
 #include "obs/events.hpp"
 #include "obs/json.hpp"
+#include "pb/opb.hpp"
+#include "sat/dimacs.hpp"
 #include "svc/protocol.hpp"
 
 namespace optalloc {
@@ -118,12 +122,18 @@ TEST(JsonFuzz, CorpusParsesAndRoundTrips) {
   }
 }
 
+/// The characters JSON treats specially.
+constexpr std::string_view kJsonSignificant = "{}[]\":,\\-.0123456789eEtfnu ";
+
 /// Seeded mutator: case `c` of a fuzz run turns a random corpus document
 /// into a byte-flipped, truncated, spliced, punctuated or deeply nested
-/// variant.
+/// variant. Punctuation is drawn from `significant`, the characters the
+/// parser under test treats specially.
 class Mutator {
  public:
-  explicit Mutator(const std::vector<std::string>& docs) : docs_(docs) {}
+  explicit Mutator(const std::vector<std::string>& docs,
+                   std::string_view significant = kJsonSignificant)
+      : docs_(docs), significant_(significant) {}
 
   std::string next(int c) {
     std::string doc = docs_[pick(docs_.size())];
@@ -143,10 +153,10 @@ class Mutator {
               other.substr(pick(other.size() + 1));
         break;
       }
-      case 3:  // insert JSON-significant characters
+      case 3:  // insert significant characters
         for (int k = 1 + static_cast<int>(pick(3)); k > 0; --k) {
           doc.insert(pick(doc.size() + 1), 1,
-                     kStructural[pick(sizeof kStructural - 1)]);
+                     significant_[pick(significant_.size())]);
         }
         break;
       case 4: {  // wrap in a random depth of arrays or objects
@@ -165,13 +175,12 @@ class Mutator {
   }
 
  private:
-  static constexpr char kStructural[] = "{}[]\":,\\-.0123456789eEtfnu ";
-
   std::size_t pick(std::size_t n) {
     return static_cast<std::size_t>(rng_() % (n == 0 ? 1 : n));
   }
 
   const std::vector<std::string>& docs_;
+  std::string_view significant_;
   std::mt19937_64 rng_{20061};  // fixed seed: the same cases every run
 };
 
@@ -229,32 +238,67 @@ std::vector<std::string> problem_corpus() {
   return problems;
 }
 
-/// parse_problem's contract: a Problem, or std::runtime_error naming the
-/// offending line. Returns whether `text` was accepted.
-bool parse_or_reject(const std::string& text) {
-  std::istringstream in(text);
-  try {
-    alloc::parse_problem(in, "fuzz");
-    return true;
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("fuzz"), std::string::npos)
-        << e.what();
-    return false;
+/// Mutate `corpus` kCases times through `parse`, whose contract is a
+/// value or a std::runtime_error; any other exception fails the test.
+/// The corpus must parse, and the mutants must exercise both outcomes.
+template <typename Parse>
+void fuzz_text_parser(const std::vector<std::string>& corpus, Parse parse,
+                      std::string_view significant = kJsonSignificant) {
+  for (const auto& text : corpus) {
+    std::istringstream in(text);
+    EXPECT_NO_THROW(parse(in)) << text;
   }
+  Mutator mutator(corpus, significant);
+  int accepted = 0;
+  for (int c = 0; c < kCases; ++c) {
+    const std::string text = mutator.next(c);
+    std::istringstream in(text);
+    try {
+      parse(in);
+      ++accepted;
+    } catch (const std::runtime_error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not a runtime_error: " << e.what() << "\n" << text;
+      return;
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kCases);
 }
 
 TEST(ParserFuzz, ProblemMutationsParseOrThrow) {
   const auto problems = problem_corpus();
   ASSERT_GE(problems.size(), 2u);
-  for (const auto& text : problems) ASSERT_TRUE(parse_or_reject(text)) << text;
-  Mutator mutator(problems);
-  int accepted = 0;
-  for (int c = 0; c < kCases; ++c) {
-    if (parse_or_reject(mutator.next(c))) ++accepted;
-    if (HasFailure()) return;
-  }
-  EXPECT_GT(accepted, 0);
-  EXPECT_LT(accepted, kCases);
+  fuzz_text_parser(problems, [](std::istream& in) {
+    try {
+      alloc::parse_problem(in, "fuzz");
+    } catch (const std::runtime_error& e) {
+      // Rejections name the source.
+      EXPECT_NE(std::string(e.what()).find("fuzz"), std::string::npos)
+          << e.what();
+      throw;
+    }
+  });
+}
+
+TEST(ParserFuzz, DimacsMutationsParseOrThrow) {
+  fuzz_text_parser(
+      {"c a comment\np cnf 3 4\n1 2 0\n-1 2 0\n1 -2 0\n3 0\n",
+       "p cnf 5 3\n1 -5 4 0\n-1 5 3 4 0\n-3 -4 0\n",
+       "p cnf 2 1\n1\n-2 0\n"},
+      [](std::istream& in) { (void)sat::parse_dimacs(in); },
+      "pcnf -0123456789\n");
+}
+
+TEST(ParserFuzz, OpbMutationsParseOrThrow) {
+  fuzz_text_parser(
+      {"* #variable= 4 #constraint= 2\n+1 x1 +2 x2 +3 x3 >= 3 ;\n"
+       "-2 x1 +4 x4 = 2 ;\n",
+       "* #variable= 3 #constraint= 1\nmin: +2 x1 -1 ~x3 ;\n"
+       "+1 ~x1 +1 x2 <= 1 ;\n"},
+      [](std::istream& in) { (void)pb::parse_opb(in); },
+      "x~+-=<>;*#0123456789 \n");
 }
 
 TEST(JsonFuzz, DeepNestingIsRejectedNotOverflowed) {

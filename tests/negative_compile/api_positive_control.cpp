@@ -1,16 +1,20 @@
 // Positive control for the API negative-compile harness: the legal
-// forms of what the violation TUs get wrong — a declared event kind, and
-// an encoder and a certifier built over a problem that outlives them.
+// forms of what the violation TUs get wrong — a declared event kind, a
+// declared metric written through its own kind, and an encoder and a
+// certifier built over a problem that outlives them.
 // Must compile clean; otherwise the harness would be "proving" rejection
 // with a broken include path.
 #include "alloc/certify.hpp"
 #include "alloc/encoder.hpp"
 #include "obs/events.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
 void emit_declared() {
   optalloc::obs::Event(optalloc::obs::ev::solve).num("call", 1);
+  optalloc::obs::add(optalloc::obs::m::svc_requests, 1);
+  optalloc::obs::observe(optalloc::obs::m::svc_request_ms, 1.0);
 }
 
 void encode_lvalue(const optalloc::alloc::Problem& problem,

@@ -41,6 +41,12 @@ try_case(api_positive_control.cpp "")
 # g++: "no matching function for call to ...Event(const char [N])";
 # clang: "no matching constructor for initialization of ...Event".
 try_case(undeclared_event.cpp "no matching (function|constructor)")
+# g++: "'rogue_metric' is not a member of ..."; clang: "no member named
+# 'rogue_metric' in namespace ...".
+try_case(undeclared_metric.cpp "rogue_metric")
+# g++: "could not convert ... MetricId<...kHistogram>"; clang: "no matching
+# function for call to 'add'".
+try_case(add_on_histogram.cpp "(could not convert|no matching function)")
 # g++: "use of deleted function"; clang: "call to deleted constructor".
 try_case(encoder_temporary_problem.cpp "deleted")
 try_case(certifier_temporary_problem.cpp "deleted")

@@ -81,24 +81,32 @@ TEST(Json, UnicodeEscapes) {
 
 // --- Metrics registry --------------------------------------------------
 
-std::int64_t lookup(const std::vector<obs::MetricValue>& snap,
-                    const std::string& name) {
-  for (const auto& m : snap) {
-    if (m.name == name) return m.value;
-  }
-  return -1;
+/// The current value of a declared metric (a histogram's count).
+template <obs::MetricKind K>
+std::int64_t value_of(obs::MetricId<K> id) {
+  return obs::snapshot()[id.row].value;
 }
 
-TEST(Metrics, RegistrationIsIdempotentAndKindChecked) {
-  const obs::Metric a = obs::counter("test.reg");
-  const obs::Metric b = obs::counter("test.reg");
-  EXPECT_EQ(a.id, b.id);
-  EXPECT_THROW(obs::gauge("test.reg"), std::logic_error);
+TEST(Metrics, SnapshotListsEveryDeclaredMetric) {
+  // Every row of obs/metrics.def is listed, in table order, at zero until
+  // touched.
+  obs::reset_metrics();
+  const auto snap = obs::snapshot();
+  ASSERT_EQ(snap.size(), obs::kNumMetrics);
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    EXPECT_EQ(snap[i].name, obs::kMetrics[i].name);
+    EXPECT_EQ(snap[i].kind, obs::kMetrics[i].kind);
+    EXPECT_EQ(snap[i].value, 0) << snap[i].name;
+  }
+  EXPECT_EQ(obs::find_gauge("svc.cache.bytes")->row,
+            obs::m::svc_cache_bytes.row);
+  EXPECT_FALSE(obs::find_gauge("svc.requests"));  // a counter
+  EXPECT_FALSE(obs::find_gauge("no.such.metric"));
 }
 
 TEST(Metrics, ConcurrentWritersMergeExactly) {
   obs::reset_metrics();
-  const obs::Metric c = obs::counter("test.concurrent");
+  const obs::Counter c = obs::m::sat_conflicts;
   constexpr int kThreads = 8;
   constexpr int kAdds = 10000;
   std::vector<std::thread> workers;
@@ -110,26 +118,26 @@ TEST(Metrics, ConcurrentWritersMergeExactly) {
   }
   for (auto& w : workers) w.join();
   // All writer threads have exited: the sum must include retired shards.
-  EXPECT_EQ(lookup(obs::snapshot(), "test.concurrent"),
+  EXPECT_EQ(value_of(c),
             std::int64_t{kThreads} * kAdds);
 
   // A second wave after the snapshot keeps accumulating on top.
   std::thread extra([c] { obs::add(c, 5); });
   extra.join();
-  EXPECT_EQ(lookup(obs::snapshot(), "test.concurrent"),
+  EXPECT_EQ(value_of(c),
             std::int64_t{kThreads} * kAdds + 5);
 }
 
 TEST(Metrics, SnapshotWhileWritersLive) {
   obs::reset_metrics();
-  const obs::Metric c = obs::counter("test.live");
+  const obs::Counter c = obs::m::sat_decisions;
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     while (!stop.load()) obs::add(c, 1);
   });
   // Merge-on-read must be safe against a concurrently writing shard.
   for (int i = 0; i < 100; ++i) {
-    const std::int64_t v = lookup(obs::snapshot(), "test.live");
+    const std::int64_t v = value_of(c);
     EXPECT_GE(v, 0);
   }
   stop.store(true);
@@ -138,33 +146,29 @@ TEST(Metrics, SnapshotWhileWritersLive) {
 
 TEST(Metrics, GaugeAndTimerSemantics) {
   obs::reset_metrics();
-  const obs::Metric g = obs::gauge("test.gauge");
+  const obs::Gauge g = obs::m::svc_queue_depth;
   obs::set(g, 7);
   obs::set(g, 3);
-  EXPECT_EQ(lookup(obs::snapshot(), "test.gauge"), 3);
+  EXPECT_EQ(value_of(g), 3);
 
   // A duration is a histogram of seconds: ScopedTimer observes its
   // scope's wall time, and the sum reads the total.
-  const obs::Metric t = obs::histogram("test.timer");
+  const obs::Histogram t = obs::m::heur_sa_time;
   obs::observe(t, 0.25);
   { const obs::ScopedTimer scope(t); }
-  double sum = -1.0;
-  for (const auto& m : obs::snapshot()) {
-    if (m.name != "test.timer") continue;
-    EXPECT_EQ(m.kind, obs::MetricKind::kHistogram);
-    EXPECT_EQ(m.value, 2);  // observation count
-    sum = m.sum;
-  }
-  EXPECT_GE(sum, 0.25);
-  EXPECT_LT(sum, 1.25);  // the empty scope took well under a second
+  const obs::MetricValue timed = obs::snapshot()[t.row];
+  EXPECT_EQ(timed.kind, obs::MetricKind::kHistogram);
+  EXPECT_EQ(timed.value, 2);  // observation count
+  EXPECT_GE(timed.sum, 0.25);
+  EXPECT_LT(timed.sum, 1.25);  // the empty scope took well under a second
 
   const auto doc = obs::json_parse(obs::metrics_full_json());
   ASSERT_TRUE(doc.has_value());
-  const obs::JsonValue* gauge = doc->get("test.gauge");
+  const obs::JsonValue* gauge = doc->get("svc.queue_depth");
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->get_string("kind"), "gauge");
   EXPECT_EQ(gauge->get_number("value"), 3.0);
-  const obs::JsonValue* timer = doc->get("test.timer");
+  const obs::JsonValue* timer = doc->get("heur.sa.time");
   ASSERT_NE(timer, nullptr);
   EXPECT_EQ(timer->get_string("kind"), "histogram");
   EXPECT_EQ(timer->get_number("count"), 2.0);
@@ -217,7 +221,7 @@ TEST(Metrics, LocalHistogramQuantilesWithinErrorBound) {
 
 TEST(Metrics, HistogramShardsMergeAcrossThreads) {
   obs::reset_metrics();
-  const obs::Metric h = obs::histogram("test.hist");
+  const obs::Histogram h = obs::m::svc_request_ms;
   constexpr int kThreads = 4;
   constexpr int kObs = 1000;
   std::vector<std::thread> workers;
@@ -231,31 +235,26 @@ TEST(Metrics, HistogramShardsMergeAcrossThreads) {
   }
   for (auto& w : workers) w.join();
 
-  bool found = false;
-  for (const auto& m : obs::snapshot()) {
-    if (m.name != "test.hist") continue;
-    found = true;
-    EXPECT_EQ(m.kind, obs::MetricKind::kHistogram);
-    EXPECT_EQ(m.value, std::int64_t{kThreads} * kObs);  // merged count
-    EXPECT_NEAR(m.sum, kThreads * (kObs * (kObs + 1) / 2.0), 1e-6);
-    std::uint64_t bucket_total = 0;
-    for (const auto& b : m.buckets) {
-      EXPECT_GT(b.count, 0u);  // snapshot carries only non-empty buckets
-      bucket_total += b.count;
-    }
-    EXPECT_EQ(bucket_total, static_cast<std::uint64_t>(kThreads) * kObs);
-    const double p50 = obs::histogram_quantile(m.buckets, 0.50);
-    EXPECT_NEAR(p50, 500.0, 500.0 / obs::kHistSubBuckets + 1.0);
+  const obs::MetricValue m = obs::snapshot()[h.row];
+  EXPECT_EQ(m.kind, obs::MetricKind::kHistogram);
+  EXPECT_EQ(m.value, std::int64_t{kThreads} * kObs);  // merged count
+  EXPECT_NEAR(m.sum, kThreads * (kObs * (kObs + 1) / 2.0), 1e-6);
+  std::uint64_t bucket_total = 0;
+  for (const auto& b : m.buckets) {
+    EXPECT_GT(b.count, 0u);  // snapshot carries only non-empty buckets
+    bucket_total += b.count;
   }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(bucket_total, static_cast<std::uint64_t>(kThreads) * kObs);
+  const double p50 = obs::histogram_quantile(m.buckets, 0.50);
+  EXPECT_NEAR(p50, 500.0, 500.0 / obs::kHistSubBuckets + 1.0);
 }
 
 TEST(Metrics, FullJsonRoundTripsAndRendersPrometheus) {
   obs::reset_metrics();
-  obs::add(obs::counter("test.rt.count"), 3);
-  obs::set(obs::gauge("test.rt.gauge"), -2);
-  obs::observe(obs::histogram("test.rt.timer"), 0.5);
-  const obs::Metric h = obs::histogram("test.rt.hist");
+  obs::add(obs::m::svc_requests, 3);
+  obs::set(obs::m::svc_queue_depth, -2);
+  obs::observe(obs::m::svc_time_solve, 0.5);
+  const obs::Histogram h = obs::m::svc_request_ms;
   for (int i = 1; i <= 100; ++i) obs::observe(h, static_cast<double>(i));
 
   // Wire round-trip: the typed JSON document decodes back into the exact
@@ -279,21 +278,21 @@ TEST(Metrics, FullJsonRoundTripsAndRendersPrometheus) {
   // The decoded snapshot renders through the same Prometheus writer the
   // server uses locally: names sanitized, cumulative buckets, quantiles.
   const std::string prom = obs::prometheus_from_snapshot(decoded);
-  EXPECT_NE(prom.find("# TYPE test_rt_count counter"), std::string::npos);
-  EXPECT_NE(prom.find("test_rt_count 3"), std::string::npos);
-  EXPECT_NE(prom.find("test_rt_gauge -2"), std::string::npos);
-  EXPECT_NE(prom.find("test_rt_timer_count 1"), std::string::npos);
-  EXPECT_NE(prom.find("test_rt_timer_sum 0.5"), std::string::npos);
-  EXPECT_NE(prom.find("# TYPE test_rt_hist histogram"), std::string::npos);
-  EXPECT_NE(prom.find("test_rt_hist_bucket{le=\"+Inf\"} 100"),
+  EXPECT_NE(prom.find("# TYPE svc_requests counter"), std::string::npos);
+  EXPECT_NE(prom.find("svc_requests 3"), std::string::npos);
+  EXPECT_NE(prom.find("svc_queue_depth -2"), std::string::npos);
+  EXPECT_NE(prom.find("svc_time_solve_count 1"), std::string::npos);
+  EXPECT_NE(prom.find("svc_time_solve_sum 0.5"), std::string::npos);
+  EXPECT_NE(prom.find("# TYPE svc_request_ms histogram"), std::string::npos);
+  EXPECT_NE(prom.find("svc_request_ms_bucket{le=\"+Inf\"} 100"),
             std::string::npos);
-  EXPECT_NE(prom.find("test_rt_hist_count 100"), std::string::npos);
-  EXPECT_NE(prom.find("test_rt_hist_p95 "), std::string::npos);
+  EXPECT_NE(prom.find("svc_request_ms_count 100"), std::string::npos);
+  EXPECT_NE(prom.find("svc_request_ms_p95 "), std::string::npos);
 
   // Cumulative bucket counts must be non-decreasing and end at the total.
   std::uint64_t last_cum = 0;
   std::size_t pos = 0;
-  while ((pos = prom.find("test_rt_hist_bucket{le=", pos)) !=
+  while ((pos = prom.find("svc_request_ms_bucket{le=", pos)) !=
          std::string::npos) {
     const std::size_t space = prom.find("} ", pos);
     ASSERT_NE(space, std::string::npos);
@@ -750,17 +749,9 @@ TEST(Flight, DumpWhileWritingNeverYieldsTornRecords) {
 
 // --- Capacity gauges ---------------------------------------------------
 
-/// Current level of gauge `name`; 0 when it is not registered.
-std::int64_t gauge_value(const char* name) {
-  for (const auto& m : obs::snapshot()) {
-    if (m.name == name) return m.value;
-  }
-  return 0;
-}
-
 TEST(CapacityGauge, DeltasMergeAcrossThreads) {
   obs::reset_metrics();
-  const obs::Metric g = obs::gauge("test.gauge.merge");
+  const obs::Gauge g = obs::m::sat_arena_bytes;
   constexpr int kThreads = 4;
   constexpr int kIters = 2000;
   std::vector<std::thread> workers;
@@ -775,28 +766,28 @@ TEST(CapacityGauge, DeltasMergeAcrossThreads) {
   // Every writer exits before the snapshot: their deltas must survive
   // the threads.
   for (auto& w : workers) w.join();
-  EXPECT_EQ(gauge_value("test.gauge.merge"),
+  EXPECT_EQ(value_of(g),
             kThreads * (kIters * 64 - (kIters / 2) * 16));
 }
 
 TEST(CapacityGauge, TrackerDiffsAndRetractsOnDestruction) {
   obs::reset_metrics();
-  const obs::Metric g = obs::gauge("test.gauge.tracker");
+  const obs::Gauge g = obs::m::svc_cache_bytes;
   obs::adjust(g, 7);  // another owner's share, untouched by the tracker
   {
     obs::GaugeTracker tracker(g);
     tracker.set(1000);
-    EXPECT_EQ(gauge_value("test.gauge.tracker"), 1007);
+    EXPECT_EQ(value_of(g), 1007);
     tracker.set(400);  // shrink: only the delta is published
-    EXPECT_EQ(gauge_value("test.gauge.tracker"), 407);
+    EXPECT_EQ(value_of(g), 407);
   }
-  EXPECT_EQ(gauge_value("test.gauge.tracker"), 7);
+  EXPECT_EQ(value_of(g), 7);
 }
 
 TEST(CapacityGauge, WatermarkEmitsOnCrossingWithHysteresis) {
   obs::reset_metrics();
-  const obs::Metric g = obs::gauge("test.gauge.wm");
-  obs::set_watermark("test.gauge.wm", 1000, 500);
+  const obs::Gauge g = obs::m::svc_queue_bytes;
+  obs::set_watermark(g, 1000, 500);
   std::ostringstream sink;
   obs::trace_to_stream(&sink);
 
@@ -809,7 +800,7 @@ TEST(CapacityGauge, WatermarkEmitsOnCrossingWithHysteresis) {
   obs::adjust(g, 800);
   obs::check_watermarks();  // 1200: "high" again
   obs::trace_close();
-  obs::set_watermark("test.gauge.wm", 0);  // disarm
+  obs::set_watermark(g, 0);  // disarm
 
   std::vector<std::pair<std::string, double>> crossings;  // level, value
   std::istringstream lines(sink.str());
@@ -818,7 +809,7 @@ TEST(CapacityGauge, WatermarkEmitsOnCrossingWithHysteresis) {
     const auto ev = obs::json_parse(line);
     ASSERT_TRUE(ev.has_value()) << line;
     if (ev->get_string("type") != "watermark") continue;
-    EXPECT_EQ(ev->get_string("metric"), "test.gauge.wm");
+    EXPECT_EQ(ev->get_string("metric"), "svc.queue.bytes");
     ASSERT_TRUE(ev->get_number("threshold").has_value());
     crossings.emplace_back(*ev->get_string("level"),
                            *ev->get_number("value"));
@@ -834,7 +825,7 @@ TEST(CapacityGauge, WatermarkEmitsOnCrossingWithHysteresis) {
 
 TEST(CapacityGauge, ConcurrentAdjustWhileSnapshot) {
   obs::reset_metrics();
-  const obs::Metric g = obs::gauge("test.gauge.race");
+  const obs::Gauge g = obs::m::inc_guards;
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     while (!stop.load(std::memory_order_relaxed)) {
@@ -843,14 +834,14 @@ TEST(CapacityGauge, ConcurrentAdjustWhileSnapshot) {
     }
   });
   for (int i = 0; i < 200; ++i) {
-    const std::int64_t v = gauge_value("test.gauge.race");
+    const std::int64_t v = value_of(g);
     // The writer adds then retracts; any interleaving of the two relaxed
     // adds yields a level of 0 or 128, never garbage.
     EXPECT_TRUE(v == 0 || v == 128) << v;
   }
   stop.store(true, std::memory_order_relaxed);
   writer.join();
-  EXPECT_EQ(gauge_value("test.gauge.race"), 0);
+  EXPECT_EQ(value_of(g), 0);
 }
 
 // --- Time-series rings -------------------------------------------------
@@ -908,25 +899,25 @@ TEST(TimeSeries, WindowFilterDropsOldSamples) {
 TEST(TimeSeries, SampleNowDerivesQuantilesAndResources) {
   obs::reset_timeseries();
   obs::reset_metrics();
-  const obs::Metric h = obs::histogram("test.ts.hist_ms");
+  const obs::Histogram h = obs::m::svc_queue_wait_ms;
   obs::observe(h, 5.0);
   obs::observe(h, 50.0);
   // A capacity gauge is sampled by name like any other gauge.
-  obs::adjust(obs::gauge("test.ts.bytes"), 4096);
+  obs::adjust(obs::m::svc_queue_bytes, 4096);
   obs::timeseries_sample_now();
 
-  const auto p99 = obs::timeseries_query("test.ts.hist_ms.p99");
+  const auto p99 = obs::timeseries_query("svc.queue_wait_ms.p99");
   ASSERT_EQ(p99.size(), 1u);
   EXPECT_GE(p99[0].value, 5.0);
-  const auto count = obs::timeseries_query("test.ts.hist_ms.count");
+  const auto count = obs::timeseries_query("svc.queue_wait_ms.count");
   ASSERT_EQ(count.size(), 1u);
   EXPECT_EQ(count[0].value, 2.0);
-  const auto bytes = obs::timeseries_query("test.ts.bytes");
+  const auto bytes = obs::timeseries_query("svc.queue.bytes");
   ASSERT_EQ(bytes.size(), 1u);
   EXPECT_EQ(bytes[0].value, 4096.0);
 
   obs::timeseries_sample_now();
-  EXPECT_EQ(obs::timeseries_query("test.ts.hist_ms.p99").size(), 2u);
+  EXPECT_EQ(obs::timeseries_query("svc.queue_wait_ms.p99").size(), 2u);
 }
 
 TEST(TimeSeries, ConcurrentWriteWhileQuery) {
@@ -963,22 +954,17 @@ TEST(Metrics, OptimizerFlushesRegistry) {
                                    alloc::Objective::ring_trt(0), {});
   ASSERT_EQ(res.status, alloc::OptimizeResult::Status::kOptimal);
   const auto snap = obs::snapshot();
-  EXPECT_EQ(lookup(snap, "opt.runs"), 1);
-  EXPECT_EQ(lookup(snap, "opt.sat_calls"),
+  EXPECT_EQ(snap[obs::m::opt_runs.row].value, 1);
+  EXPECT_EQ(snap[obs::m::opt_sat_calls.row].value,
             static_cast<std::int64_t>(res.stats.sat_calls));
-  EXPECT_EQ(lookup(snap, "sat.solve_calls"),
+  EXPECT_EQ(snap[obs::m::sat_solve_calls.row].value,
             static_cast<std::int64_t>(res.stats.sat_calls));
-  EXPECT_GT(lookup(snap, "sat.decisions"), 0);
-  // Durations are histograms of seconds, one observation per run; the
-  // encode time is recorded once, as opt.encode_ms.
-  for (const auto& m : snap) {
-    if (m.name != "opt.time.total") continue;
-    EXPECT_EQ(m.kind, obs::MetricKind::kHistogram);
-    EXPECT_EQ(m.value, 1);
-    EXPECT_NEAR(m.sum, res.stats.seconds, 1e-9);
-  }
-  EXPECT_GE(lookup(snap, "opt.encode_ms"), 1);
-  EXPECT_EQ(lookup(snap, "opt.time.encode"), -1);
+  EXPECT_GT(snap[obs::m::sat_decisions.row].value, 0);
+  // Durations are histograms of seconds, one observation per run.
+  const obs::MetricValue& total = snap[obs::m::opt_time_total.row];
+  EXPECT_EQ(total.value, 1);
+  EXPECT_NEAR(total.sum, res.stats.seconds, 1e-9);
+  EXPECT_GE(snap[obs::m::opt_encode_ms.row].value, 1);
 }
 
 }  // namespace

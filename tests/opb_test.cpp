@@ -42,12 +42,15 @@ TEST(Opb, ParsesNegatedLiterals) {
 }
 
 TEST(Opb, ParsesObjective) {
+  // A ';' may touch the right-hand side.
   const OpbProblem p = parse(
       "* #variable= 2 #constraint= 1\n"
       "min: +1 x1 +2 x2 ;\n"
-      "+1 x1 +1 x2 >= 1 ;\n");
+      "+1 x1 +1 x2 >= 1;\n");
   ASSERT_TRUE(p.objective.has_value());
   EXPECT_EQ(p.objective->size(), 2u);
+  ASSERT_EQ(p.constraints.size(), 1u);
+  EXPECT_EQ(p.constraints[0].rhs, 1);
 }
 
 TEST(Opb, RejectsMissingHeader) {
@@ -55,8 +58,22 @@ TEST(Opb, RejectsMissingHeader) {
 }
 
 TEST(Opb, RejectsOutOfRangeVariable) {
-  EXPECT_THROW(parse("* #variable= 1 #constraint= 1\n+1 x5 >= 1 ;\n"),
+  // A count past sat::kMaxVars is rejected, not truncated (2^32 + 2 -> 2).
+  EXPECT_THROW(parse("* #variable= 4294967298 #constraint= 1\n"
+                     "+1 x2 >= 1 ;\n"),
                std::runtime_error);
+  EXPECT_THROW(parse("* #variable= -1\n"), std::runtime_error);
+  // A bad or out-of-range number is a runtime_error, never
+  // invalid_argument / out_of_range, and never a prefix read.
+  for (const char* line : {
+           "+1 x5 >= 1 ;", "+1 x >= 1 ;", "+1 x99999999999999999999 >= 1 ;",
+           "+1 x1x >= 1 ;", "+1 x+1 >= 1 ;", "abc x1 >= 1 ;",
+           "+99999999999999999999 x1 >= 1 ;",
+           "+1 x1 >= 99999999999999999999 ;", "+1 x1 >= 1e3 ;"}) {
+    EXPECT_THROW(parse(std::string("* #variable= 2\n") + line + "\n"),
+                 std::runtime_error)
+        << line;
+  }
 }
 
 TEST(Opb, RejectsMissingRelation) {

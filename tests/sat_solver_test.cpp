@@ -250,13 +250,27 @@ TEST(Dimacs, RoundTrip) {
 }
 
 TEST(Dimacs, RejectsMalformedHeader) {
-  std::istringstream in("p dnf 3 1\n1 0\n");
-  EXPECT_THROW(parse_dimacs(in), std::runtime_error);
+  for (const char* text : {"p dnf 3 1\n1 0\n", "p cnf -1 0\n",
+                           "p cnf 1 -1\n",
+                           "p cnf 1073741825 0\n"}) {  // > sat::kMaxVars
+    std::istringstream in(text);
+    EXPECT_THROW(parse_dimacs(in), std::runtime_error) << text;
+  }
 }
 
 TEST(Dimacs, RejectsOutOfRangeLiteral) {
-  std::istringstream in("p cnf 2 1\n3 0\n");
-  EXPECT_THROW(parse_dimacs(in), std::runtime_error);
+  // A literal is range-checked before any narrowing cast (2^32 + 1 must
+  // not wrap onto x1), and a token that is not an integer is rejected
+  // rather than ending the line and merging the rest of its clause into
+  // the next line's (SATLIB's `%` + `0` trailer must not become an empty
+  // clause).
+  for (const char* text :
+       {"p cnf 2 1\n3 0\n", "p cnf 1 1\n4294967297 0\n",
+        "p cnf 1 1\n-4294967297 0\n", "p cnf 1 1\n-9223372036854775808 0\n",
+        "p cnf 2 2\n1 -2x 0\n2 0\n", "p cnf 2 1\n1 2 0\n%\n0\n"}) {
+    std::istringstream in(text);
+    EXPECT_THROW(parse_dimacs(in), std::runtime_error) << text;
+  }
 }
 
 TEST(Lit, EncodingInvariants) {

@@ -204,17 +204,13 @@ TEST(ResultCache, CollisionDegradesToMiss) {
   EXPECT_TRUE(cache.get({42, 1}, "text-a").has_value());
 }
 
-/// Current level of gauge `name`; 0 when it is not registered.
-std::int64_t gauge_level(const char* name) {
-  for (const auto& m : obs::snapshot()) {
-    if (m.name == name) return m.value;
-  }
-  return 0;
-}
+/// Current level of gauge `g`.
+std::int64_t gauge_level(obs::Gauge g) { return obs::snapshot()[g.row].value; }
 
 /// Current level of the cache's capacity gauges: {bytes, entries}.
 std::pair<std::int64_t, std::int64_t> cache_gauges() {
-  return {gauge_level("svc.cache.bytes"), gauge_level("svc.cache.entries")};
+  return {gauge_level(obs::m::svc_cache_bytes),
+          gauge_level(obs::m::svc_cache_entries)};
 }
 
 TEST(ResultCache, AccountsBytesAndShardOccupancy) {
@@ -568,17 +564,17 @@ TEST(SchedulerSession, OpenReviseCloseLifecycle) {
 }
 
 TEST(SchedulerSession, OpenSessionsLeaveTheLiveGaugeWithTheScheduler) {
-  const std::int64_t before = gauge_level("svc.sessions.live");
+  const std::int64_t before = gauge_level(obs::m::svc_sessions_live);
   {
     Scheduler scheduler(quick_options(1));
     JobRequest open;
     open.problem = parse(kSystem);
     open.objective = alloc::Objective::sum_trt();
     ASSERT_TRUE(scheduler.session_open(std::move(open)).has_value());
-    EXPECT_EQ(gauge_level("svc.sessions.live"), before + 1);
+    EXPECT_EQ(gauge_level(obs::m::svc_sessions_live), before + 1);
   }
   // Destroyed with the session still open: its share is retracted.
-  EXPECT_EQ(gauge_level("svc.sessions.live"), before);
+  EXPECT_EQ(gauge_level(obs::m::svc_sessions_live), before);
 }
 
 TEST(SchedulerSession, ReviseDoesNotPoisonBaseCacheEntry) {

@@ -22,8 +22,9 @@
 // in-process time-series rings (the `query` verb / alloc_top's data),
 // checks the armed watermarks, and — while tracing is on — emits a
 // "metrics_snapshot" trace event (full registry, typed form).
-// --watermark arms a threshold on a gauge ("sat.arena.bytes:8388608" or
-// "svc.cache.bytes:1048576:786432"; plain decimal integers, LOW <= HIGH);
+// --watermark arms a threshold on a gauge of src/obs/metrics.def
+// ("sat.arena.bytes:8388608" or "svc.cache.bytes:1048576:786432"; plain
+// decimal integers, LOW <= HIGH; any other name exits 2);
 // crossings emit `watermark` trace events with hysteresis (LOW defaults
 // to 3/4 of HIGH).
 //
@@ -90,11 +91,13 @@ bool parse_number(std::string_view s, std::type_identity_t<T> lo,
 constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 
 /// Parse "GAUGE:HIGH[:LOW]" and arm the watermark. False on bad syntax,
-/// a non-positive HIGH or LOW > HIGH.
+/// a name that is not a gauge of obs/metrics.def, a non-positive HIGH or
+/// LOW > HIGH.
 bool arm_watermark(std::string_view spec) {
   const std::size_t c1 = spec.find(':');
-  if (c1 == std::string_view::npos || c1 == 0) return false;
-  const std::string_view name = spec.substr(0, c1);
+  if (c1 == std::string_view::npos) return false;
+  const auto gauge = optalloc::obs::find_gauge(spec.substr(0, c1));
+  if (!gauge) return false;
   const std::string_view levels = spec.substr(c1 + 1);
   const std::size_t c2 = levels.find(':');
   std::int64_t high = 0;
@@ -104,7 +107,7 @@ bool arm_watermark(std::string_view spec) {
       !parse_number(levels.substr(c2 + 1), 0, high, low)) {
     return false;
   }
-  optalloc::obs::set_watermark(name, high, low);
+  optalloc::obs::set_watermark(*gauge, high, low);
   return true;
 }
 
@@ -168,7 +171,7 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr || !arm_watermark(v)) {
         std::cerr << "alloc_serve: --watermark wants GAUGE:HIGH[:LOW] "
-                     "(decimal integers, LOW <= HIGH)\n";
+                     "(a declared gauge, decimal integers, LOW <= HIGH)\n";
         return usage();
       }
     } else if (arg == "--stats") {
